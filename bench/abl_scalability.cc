@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "src/common/thread_pool.h"
@@ -21,14 +22,53 @@
 namespace swope {
 namespace {
 
+// Rows of the intra-query thread sweep's table.
+uint64_t SweepRows(const BenchConfig& config) {
+  return config.quick ? 500000 : 2000000;
+}
+
+// One intra-query thread sweep over `query`, which runs one query with
+// the given options and returns it. The answer is byte-identical at
+// every thread count (docs/CORE.md), so each row is purely a latency
+// point.
+template <typename Query>
+void AddSweepRows(const BenchConfig& config, const std::string& name,
+                  QueryOptions options, Query query, ReportTable& sweep) {
+  double serial_seconds = 0.0;
+  for (size_t threads : {1, 2, 4, 8}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+    options.pool = pool.get();
+    Result<TopKResult> swope(Status::Internal("unset"));
+    const Timing timing = TimeRepeated(config.reps, [&] {
+      swope = query(options);
+      if (!swope.ok()) std::exit(1);
+    });
+    if (threads == 1) serial_seconds = timing.mean_seconds;
+    sweep.AddRow({name, std::to_string(threads),
+                  ReportTable::FormatMillis(timing.mean_seconds),
+                  std::to_string(swope->stats.final_sample_size),
+                  FormatSpeedup(serial_seconds, timing.mean_seconds)});
+  }
+}
+
 void Run(const BenchConfig& config) {
-  std::cout << "# Ablation: scalability in N (cdc preset, entropy top-4, "
-               "eps=0.1)\n\n";
+  const uint64_t max_rows = config.quick ? 500000 : 4000000;
+  std::cout << "# Ablation: scalability in N (cdc preset)\n";
+  // Config line in bench_to_json key=value form: the largest N of the
+  // two N sweeps, and the table size of the thread sweep.
+  std::cout << "rows=" << max_rows << " reps=" << config.reps
+            << " seed=" << config.seed
+            << " sweep_rows=" << SweepRows(config)
+            << (config.quick ? " (quick)" : "") << "\n\n";
+
+  std::cout << "## entropy-topk\n\n"
+            << "Entropy top-4, eps=0.1.\n\n";
   ReportTable table({"rows", "SWOPE (ms)", "SWOPE samples",
                      "EntropyRank (ms)", "Exact (ms)", "SWOPE vs Exact"});
   for (uint64_t rows : {125000ULL, 250000ULL, 500000ULL, 1000000ULL,
                         2000000ULL, 4000000ULL}) {
-    if (config.quick && rows > 500000) break;
+    if (rows > max_rows) break;
     auto made = MakePresetTable(DatasetPreset::kCdc, rows, config.seed);
     if (!made.ok()) std::exit(1);
     const Table dataset = made->DropHighSupportColumns(1000);
@@ -64,8 +104,8 @@ void Run(const BenchConfig& config) {
   // its stopping rule can fire (the joint-entropy slack decays like
   // log(M)/sqrt(M)), so the SWOPE-vs-Exact gap opens later in N than for
   // plain entropy -- exactly why the paper evaluates at 3.7M-33.7M rows.
-  std::cout << "\n# Scalability in N: MI top-1 (cdc preset, eps=0.5, "
-               "informative target)\n\n";
+  std::cout << "\n## mi-topk\n\n"
+            << "MI top-1, eps=0.5, informative target.\n\n";
   // Pick a target that actually has informative partners (MI >= 1 bit if
   // one exists); an isolated noise target forces every method to a full
   // scan at any N and says nothing about scaling.
@@ -92,7 +132,7 @@ void Run(const BenchConfig& config) {
                         "SWOPE vs Exact"});
   for (uint64_t rows : {250000ULL, 500000ULL, 1000000ULL, 2000000ULL,
                         4000000ULL}) {
-    if (config.quick && rows > 500000) break;
+    if (rows > max_rows) break;
     auto made = MakePresetTable(DatasetPreset::kCdc, rows, config.seed);
     if (!made.ok()) std::exit(1);
     const Table dataset = made->DropHighSupportColumns(1000);
@@ -119,47 +159,39 @@ void Run(const BenchConfig& config) {
   }
   mi_table.PrintMarkdown(std::cout);
 
-  // Intra-query parallelism: the per-candidate counter-update phase fans
-  // out across QueryOptions::pool. The answer is byte-identical at every
-  // thread count (docs/CORE.md), so this sweep is purely a latency curve;
-  // it needs a wide table (many candidates per round) to have work to
-  // split, hence the 100-column cdc preset with a small epsilon to force
-  // deep sampling.
-  std::cout << "\n# Intra-query thread sweep (cdc preset, entropy top-4, "
-               "eps=0.01)\n\n";
+  // Intra-query parallelism: each round's candidate updates fan out
+  // across QueryOptions::pool, one task per candidate. It needs a wide
+  // table (many candidates per round) to have work to split, hence the
+  // 100-column cdc preset: entropy top-4 with a small epsilon to force
+  // deep sampling, and MI top-4 against column 0.
+  std::cout << "\n## intra-threads\n\n"
+            << "Entropy top-4 (eps=0.01) and MI top-4 (target 0, eps=0.5) "
+               "on "
+            << SweepRows(config) << " rows.\n\n";
   {
-    const uint64_t rows = config.quick ? 500000 : 2000000;
-    auto made = MakePresetTable(DatasetPreset::kCdc, rows, config.seed);
+    auto made =
+        MakePresetTable(DatasetPreset::kCdc, SweepRows(config), config.seed);
     if (!made.ok()) std::exit(1);
     const Table dataset = made->DropHighSupportColumns(1000);
 
     QueryOptions options;
-    options.epsilon = 0.01;
     options.seed = config.seed;
     options.sequential_sampling = true;
 
-    ReportTable sweep({"threads", "SWOPE (ms)", "SWOPE samples",
+    ReportTable sweep({"query", "threads", "SWOPE (ms)", "SWOPE samples",
                        "vs 1 thread"});
-    double serial_seconds = 0.0;
-    for (size_t threads : {1, 2, 4, 8}) {
-      std::unique_ptr<ThreadPool> pool;
-      if (threads > 1) {
-        pool = std::make_unique<ThreadPool>(threads);
-        options.pool = pool.get();
-      } else {
-        options.pool = nullptr;
-      }
-      Result<TopKResult> swope(Status::Internal("unset"));
-      const Timing timing = TimeRepeated(config.reps, [&] {
-        swope = SwopeTopKEntropy(dataset, 4, options);
-        if (!swope.ok()) std::exit(1);
-      });
-      if (threads == 1) serial_seconds = timing.mean_seconds;
-      sweep.AddRow({std::to_string(threads),
-                    ReportTable::FormatMillis(timing.mean_seconds),
-                    std::to_string(swope->stats.final_sample_size),
-                    FormatSpeedup(serial_seconds, timing.mean_seconds)});
-    }
+    options.epsilon = 0.01;
+    AddSweepRows(config, "entropy-top4", options,
+                 [&](const QueryOptions& o) {
+                   return SwopeTopKEntropy(dataset, 4, o);
+                 },
+                 sweep);
+    options.epsilon = 0.5;
+    AddSweepRows(config, "mi-top4", options,
+                 [&](const QueryOptions& o) {
+                   return SwopeTopKMi(dataset, 0, 4, o);
+                 },
+                 sweep);
     sweep.PrintMarkdown(std::cout);
   }
 }

@@ -15,12 +15,12 @@ shift || true
 
 : > "$OUT"
 # Run metadata, parsed into BENCH_results.json alongside the benches:
-# the host's core count plus the shard geometry and pool modes the
-# serving benches compare (see bench/serve_throughput.cc).
+# the host's core count plus the pool modes the serving benches compare
+# (see bench/serve_throughput.cc).
 {
   echo "===== run_metadata ====="
   echo "# Run metadata"
-  echo "host_cores=$(nproc) serve_shard_size=2048 pool_modes=stealing,single-queue"
+  echo "host_cores=$(nproc) pool_modes=stealing,single-queue"
   echo
 } | tee -a "$OUT"
 for b in "$BUILD_DIR"/*; do

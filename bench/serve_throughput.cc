@@ -1,12 +1,12 @@
 // Multi-query serving throughput: closed-loop clients hammering one
-// QueryEngine over a sharded dataset, comparing the work-stealing pool
-// against the single-queue baseline (EngineConfig::pool_mode) at several
-// concurrency levels. Reports QPS plus p50/p99 latency per (clients,
-// mode) cell; the `vs single-queue` column is the stealing-mode QPS
-// ratio the sharding design is judged by (docs/SHARDING.md). The gap
-// comes from scheduling -- per-task lock handoffs versus lock-free local
-// deques -- so it only opens on multi-core hosts; on a single core both
-// modes serialize and the ratio hovers near 1.
+// QueryEngine with intra-query parallelism, comparing the work-stealing
+// pool against the single-queue baseline (EngineConfig::pool_mode) at
+// several concurrency levels. Reports QPS plus p50/p99 latency per
+// (clients, mode) cell; the `vs single-queue` column is the
+// stealing-mode QPS ratio (docs/ENGINE.md). The gap comes from
+// scheduling -- per-task lock handoffs versus lock-free local deques --
+// so it only opens on multi-core hosts; on a single core both modes
+// serialize and the ratio hovers near 1.
 
 #include <algorithm>
 #include <cstdint>
@@ -24,7 +24,6 @@
 namespace swope {
 namespace {
 
-constexpr uint64_t kShardSize = 2048;
 constexpr size_t kIntraThreads = 4;
 
 struct BurstResult {
@@ -44,7 +43,7 @@ double Percentile(std::vector<double>& sorted_ms, double q) {
 
 // `clients` closed-loop threads each run `per_client` distinct
 // entropy-topk queries through QueryEngine::Run (caching disabled, so
-// every query executes and its shard tasks land on the shared
+// every query executes and its candidate tasks land on the shared
 // intra-query pool).
 BurstResult RunBurst(const Table& table, PoolMode mode, size_t clients,
                      int per_client) {
@@ -52,7 +51,6 @@ BurstResult RunBurst(const Table& table, PoolMode mode, size_t clients,
   config.num_threads = 2;  // Submit() executor, unused by this bench
   config.intra_query_threads = kIntraThreads;
   config.pool_mode = mode;
-  config.shard_size = kShardSize;
   config.max_in_flight = clients;
   config.result_cache_capacity = 0;
   QueryEngine engine(config);
@@ -95,10 +93,9 @@ void Run(const BenchConfig& config) {
   const uint64_t rows = config.RowsOrDefault(200000);
   std::cout << "# Serving throughput: work stealing vs single queue "
                "(cdc preset, entropy top-4 bursts)\n";
-  // Config line in bench_to_json key=value form; shard geometry and the
-  // intra-query pool width are part of the measurement's identity.
+  // Config line in bench_to_json key=value form; the intra-query pool
+  // width is part of the measurement's identity.
   std::cout << "rows=" << rows << " reps=" << config.reps
-            << " shard_size=" << kShardSize
             << " intra_threads=" << kIntraThreads
             << " host_threads=" << std::thread::hardware_concurrency()
             << " seed=" << config.seed
@@ -107,12 +104,10 @@ void Run(const BenchConfig& config) {
   auto made = MakePresetTable(DatasetPreset::kCdc, rows, config.seed);
   if (!made.ok()) std::exit(1);
   const Table table = made->DropHighSupportColumns(1000);
-  const size_t shards =
-      static_cast<size_t>((table.num_rows() + kShardSize - 1) / kShardSize);
 
   std::cout << "## cdc\n\n";
-  ReportTable report({"clients", "pool", "shards", "QPS", "p50 (ms)",
-                      "p99 (ms)", "steals", "vs single-queue"});
+  ReportTable report({"clients", "pool", "QPS", "p50 (ms)", "p99 (ms)",
+                      "steals", "vs single-queue"});
   const int per_client = config.quick ? 3 : 8;
   for (size_t clients : {size_t{1}, size_t{4}, size_t{8}}) {
     if (config.quick && clients > 4) break;
@@ -122,14 +117,12 @@ void Run(const BenchConfig& config) {
         RunBurst(table, PoolMode::kWorkStealing, clients, per_client);
     report.AddRow({std::to_string(clients),
                    PoolModeName(PoolMode::kSingleQueue),
-                   std::to_string(shards),
                    ReportTable::FormatDouble(single.qps, 2),
                    ReportTable::FormatDouble(single.p50_ms, 2),
                    ReportTable::FormatDouble(single.p99_ms, 2),
                    std::to_string(single.steals), "1.0x"});
     report.AddRow({std::to_string(clients),
                    PoolModeName(PoolMode::kWorkStealing),
-                   std::to_string(shards),
                    ReportTable::FormatDouble(stealing.qps, 2),
                    ReportTable::FormatDouble(stealing.p50_ms, 2),
                    ReportTable::FormatDouble(stealing.p99_ms, 2),

@@ -22,8 +22,8 @@
 // the QueryMemory pool lease (the response holds the lease, the pool
 // rewinds only after the response is destroyed or released).
 //
-// Thread safety: Allocate is mutex-guarded so concurrent shard tasks
-// may grow arena-backed containers; the lock is uncontended in the
+// Thread safety: Allocate is mutex-guarded so concurrent candidate
+// updates may grow arena-backed containers; the lock is uncontended in the
 // steady state because warm containers allocate nothing. Rewind and the
 // byte accessors must not race Allocate (the pool calls them only
 // between queries).

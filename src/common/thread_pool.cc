@@ -91,8 +91,8 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
   // Ownership transfers to the raw queue/deque cells here and is
   // reclaimed by RunTask; unique_ptr brackets both ends.
   auto owned = std::make_unique<Task>();
-  owned->fn = std::packaged_task<void()>(std::move(task));
-  std::future<void> future = owned->fn.get_future();
+  owned->fn = std::move(task);
+  std::future<void> future = owned->done.get_future();
   Task* queued = owned.release();
   if (mode_ == PoolMode::kWorkStealing && tls_pool == this &&
       deques_[tls_worker_index]->Push(queued)) {
@@ -143,12 +143,22 @@ void ThreadPool::RunTask(Task* task) {
     wait_ms_->Observe(task->wait.ElapsedMillis());
   }
   Stopwatch run;
-  task->fn();
+  std::exception_ptr error;
+  try {
+    task->fn();
+  } catch (...) {
+    error = std::current_exception();
+  }
   const double run_ms = run.ElapsedMillis();
   if (run_ms_ != nullptr) run_ms_->Observe(run_ms);
   cell.run_ns.fetch_add(static_cast<uint64_t>(run_ms * 1e6),
                         std::memory_order_relaxed);
   cell.tasks.fetch_add(1, std::memory_order_relaxed);
+  if (error != nullptr) {
+    task->done.set_exception(error);
+  } else {
+    task->done.set_value();
+  }
 }
 
 void ThreadPool::ParallelFor(size_t begin, size_t end,
@@ -178,8 +188,8 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   // never drain if we simply slept on the futures. Helping also means the
   // pool cannot deadlock regardless of nesting depth or thread count. In
   // stealing mode helpers raid peer deques too, so an external caller
-  // (e.g. a query blocked on its round's shard tasks) contributes a full
-  // execution lane instead of sleeping.
+  // (e.g. a query blocked on its round's candidate tasks) contributes a
+  // full execution lane instead of sleeping.
   //
   // Every future is drained before any exception is rethrown -- the chunk
   // lambdas capture `fn` by reference, so no chunk may outlive this frame.

@@ -2,9 +2,10 @@
 // executor.
 //
 // The query algorithms are sequential by default (the paper's experiments
-// are single-threaded), but shard-decomposed counter updates are
-// embarrassingly parallel; setting QueryOptions::pool routes them through
-// this pool (the engine wires EngineConfig::intra_query_threads to it).
+// are single-threaded), but each round's per-candidate counter updates
+// are embarrassingly parallel; setting QueryOptions::pool routes them
+// through this pool (the engine wires EngineConfig::intra_query_threads
+// to it).
 //
 // Two execution modes (PoolMode):
 //   kWorkStealing (default)  each worker owns a Chase–Lev-style deque;
@@ -13,15 +14,15 @@
 //                            their own deque (LIFO for the owner) and
 //                            steal FIFO from peers when idle. Blocked
 //                            ParallelFor callers steal too instead of
-//                            sleeping, which is what keeps many small
-//                            shard tasks from many concurrent queries
-//                            flowing (docs/SHARDING.md).
+//                            sleeping, which is what keeps candidate
+//                            tasks from many concurrent queries
+//                            flowing (docs/ENGINE.md).
 //   kSingleQueue             one mutex-guarded FIFO, the pre-stealing
 //                            executor, kept behind this flag as the
 //                            determinism / throughput A/B baseline
 //                            (bench/serve_throughput.cc runs both).
-// Scheduling mode never affects query answers: the core's shard merge is
-// order-invariant by construction, so modes are freely interchangeable.
+// Scheduling mode never affects query answers: each candidate task
+// touches only its own counters, so modes are freely interchangeable.
 
 #ifndef SWOPE_COMMON_THREAD_POOL_H_
 #define SWOPE_COMMON_THREAD_POOL_H_
@@ -138,7 +139,10 @@ class ThreadPool {
   /// A queued unit of work. `wait` starts at enqueue time so the task
   /// wait histogram measures time spent in the queue.
   struct Task {
-    std::packaged_task<void()> fn;
+    std::function<void()> fn;
+    /// Completed by RunTask only after the task's run time is recorded,
+    /// so a caller woken by the future sees the task in GetWorkerStats.
+    std::promise<void> done;
     Stopwatch wait;
   };
 

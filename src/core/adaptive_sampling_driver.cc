@@ -12,7 +12,6 @@
 #include "src/core/bounds.h"
 #include "src/core/exec_control.h"
 #include "src/core/prefix_sampler.h"
-#include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/query_trace.h"
 
@@ -24,97 +23,24 @@ void Scorer::BeginRound(const std::vector<uint32_t>& /*order*/,
 
 namespace {
 
-// Sentinel shard index marking a whole-slice task (a candidate whose
-// counters cannot be shard-decomposed, i.e. the sketch path).
-constexpr size_t kWholeSlice = static_cast<size_t>(-1);
-
-// One unit of a parallel round: one shard's sub-slice for a shardable
-// candidate, or the entire slice for one that is not.
-struct RoundTask {
-  size_t candidate;
-  size_t shard;
-};
-
-// Per-round scratch reused across rounds so steady-state scheduling
-// allocates nothing.
-struct RoundScratch {
-  ShardSlicePartition partition;
-  std::vector<RoundTask> tasks;
-  std::vector<size_t> shardable;
-  bool sharding_prepared = false;
-};
-
-void RunRoundTask(Scorer& scorer, const RoundTask& task,
-                  const std::vector<uint32_t>& order,
-                  PrefixSampler::Range range, uint64_t m,
-                  const ShardSlicePartition& partition) {
-  if (task.shard == kWholeSlice) {
-    scorer.UpdateCandidate(task.candidate, order, range.begin, range.end, m);
-  } else {
-    scorer.UpdateCandidateShard(task.candidate, task.shard, partition);
-  }
-}
-
-// The round's counter-update phase. Serial path (no pool): whole-slice
-// UpdateCandidate per active candidate, exactly the pre-sharding loop.
-// Parallel path: decompose into (candidate x shard) tasks -- each works
-// one shard's sub-slice against (candidate, shard)-private state -- fan
-// them out, then reduce each shardable candidate in FinalizeCandidate
-// (frequency counters merge by exact integer addition in ascending
-// shard order; joint counters replay the gathered codes in slice
-// order). Both paths drive the counters through identical update
-// sequences, so intervals are byte-identical at any thread count and
-// any shard count; every cross-candidate reduction afterwards runs
-// serially in Decide.
+// The round's counter-update phase: one UpdateCandidate per active
+// candidate, in a loop without a pool and through ParallelFor (one
+// iteration per candidate) with one. Each update touches only its own candidate's state, so the
+// counters and intervals are byte-identical either way; every
+// cross-candidate reduction afterwards runs serially in Decide.
 void UpdateActiveCandidates(Scorer& scorer,
                             const std::pmr::vector<size_t>& active,
                             const std::vector<uint32_t>& order,
                             PrefixSampler::Range range, uint64_t m,
-                            const Table& table, ThreadPool* pool,
-                            Histogram* task_latency, RoundScratch& scratch) {
+                            ThreadPool* pool) {
   if (pool == nullptr || pool->num_threads() <= 1) {
     for (size_t idx : active) {
       scorer.UpdateCandidate(idx, order, range.begin, range.end, m);
     }
     return;
   }
-  if (!scratch.sharding_prepared) {
-    // Serial one-time sizing of the per-candidate delta counters; shard
-    // tasks may then run concurrently without lazy-init races.
-    scorer.PrepareSharding(table.num_shards());
-    scratch.sharding_prepared = true;
-  }
-  scratch.partition.Build(order, range.begin, range.end, table.shard_size(),
-                          table.num_shards());
-  scratch.tasks.clear();
-  scratch.shardable.clear();
-  for (size_t idx : active) {
-    if (scorer.CandidateShardable(idx)) {
-      // Shardable even with zero tasks this round: FinalizeCandidate
-      // must still refresh the interval at the new m.
-      scratch.shardable.push_back(idx);
-      for (size_t s = 0; s < scratch.partition.num_shards(); ++s) {
-        if (!scratch.partition.local_rows(s).empty()) {
-          scratch.tasks.push_back({idx, s});
-        }
-      }
-    } else {
-      scratch.tasks.push_back({idx, kWholeSlice});
-    }
-  }
-  pool->ParallelFor(0, scratch.tasks.size(), [&](size_t t) {
-    if (task_latency != nullptr) {
-      Stopwatch timer;
-      RunRoundTask(scorer, scratch.tasks[t], order, range, m,
-                   scratch.partition);
-      task_latency->Observe(timer.ElapsedMillis());
-    } else {
-      RunRoundTask(scorer, scratch.tasks[t], order, range, m,
-                   scratch.partition);
-    }
-  });
-  pool->ParallelFor(0, scratch.shardable.size(), [&](size_t i) {
-    scorer.FinalizeCandidate(scratch.shardable[i], scratch.partition, m);
+  pool->ParallelFor(0, active.size(), [&](size_t i) {
+    scorer.UpdateCandidate(active[i], order, range.begin, range.end, m);
   });
 }
 
@@ -157,7 +83,6 @@ Result<AdaptiveSamplingDriver::Output> AdaptiveSamplingDriver::Run(
   // per query. BM_MetricsOverhead pins that to <1%.
   QueryTrace* const trace = options_.trace;
   Stopwatch round_timer;
-  RoundScratch scratch;
 
   uint64_t m = std::min<uint64_t>(m0, n);
   bool done = false;
@@ -169,9 +94,8 @@ Result<AdaptiveSamplingDriver::Output> AdaptiveSamplingDriver::Run(
     ++output.stats.iterations;
     const PrefixSampler::Range range = sampler.GrowTo(m);
     scorer.BeginRound(sampler.order(), range.begin, range.end, m);
-    UpdateActiveCandidates(scorer, active, sampler.order(), range, m, table_,
-                           options_.pool, options_.shard_task_latency,
-                           scratch);
+    UpdateActiveCandidates(scorer, active, sampler.order(), range, m,
+                           options_.pool);
     const size_t active_before = active.size();
     const uint64_t round_cells =
         (range.end - range.begin) * scorer.CellsPerRow(active_before);

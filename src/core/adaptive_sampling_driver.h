@@ -9,25 +9,21 @@
 // stopping rule, pruning, and answer assembly. The public entry points
 // (swope_topk_entropy.h et al.) are thin wrappers that pick the pair.
 //
-// Parallelism and determinism: when QueryOptions::pool is set, the driver
-// decomposes each round into (candidate x shard) tasks over the table's
-// row shards and fans them out across the pool: each task counts one
-// shard's sub-slice into a candidate-and-shard-private delta counter,
-// and each candidate's deltas merge in fixed ascending shard order at
-// round end (FinalizeCandidate). The answer is byte-identical to the
-// serial path -- at any thread count and any shard count -- because
+// Parallelism and determinism: every round updates each active
+// candidate through one call, Scorer::UpdateCandidate, over the whole
+// round slice. Without QueryOptions::pool the driver makes those calls
+// in a loop; with a pool it runs them through ThreadPool::ParallelFor,
+// one iteration per candidate. The answer is byte-identical at any
+// thread count because
 //   (1) shared round state (the MI target counter) is absorbed serially in
 //       BeginRound before any candidate update,
-//   (2) shard tasks touch only (candidate, shard)-local state, counter
-//       merging is exact integer addition, and every entropy evaluation
-//       is a canonical pure function of the merged counts,
+//   (2) a candidate's update touches only that candidate's state and
+//       absorbs the slice in permutation order, so each counter sees the
+//       same sequence as in the serial loop, and
 //   (3) every reduction over candidates (k-th bounds, stopping slack,
 //       filter classification) runs serially afterwards, in the fixed
 //       active-candidate order.
-// Sketch-backed candidates are the exception: conservative-update
-// counting is sample-order-dependent, so they stay whole-slice tasks
-// that absorb the slice in permutation order. docs/CORE.md and
-// docs/SHARDING.md spell out the full argument.
+// docs/CORE.md spells out the full argument.
 //
 // This header is internal: outside src/core/, include the public
 // swope_*.h entry points instead. src/core/ TUs opt in by defining
@@ -51,7 +47,6 @@
 #include "src/common/result.h"
 #include "src/core/query_options.h"
 #include "src/core/query_result.h"
-#include "src/core/shard_partition.h"
 #include "src/table/table.h"
 
 namespace swope {
@@ -121,40 +116,9 @@ class Scorer {
   /// Absorbs order[begin..end) into candidate `c`'s counters and
   /// recomputes interval(c) at sample size `m`. Must touch only
   /// candidate-`c` state: the driver calls this concurrently for distinct
-  /// candidates. The whole-slice path: serial rounds, and parallel
-  /// rounds for candidates that are not shardable.
+  /// candidates.
   virtual void UpdateCandidate(size_t c, const std::vector<uint32_t>& order,
                                uint64_t begin, uint64_t end, uint64_t m) = 0;
-
-  /// True when candidate `c`'s counters admit the per-shard
-  /// count-then-merge decomposition (exact integer counters). False for
-  /// sketch-backed candidates, whose conservative-update counting is
-  /// sample-order-dependent and must absorb whole slices in permutation
-  /// order.
-  virtual bool CandidateShardable(size_t /*c*/) const { return false; }
-
-  /// Sizes the per-candidate per-shard delta counters. Called once by
-  /// the driver (serially, before the first decomposed round) with the
-  /// table's shard count.
-  virtual void PrepareSharding(size_t /*num_shards*/) {}
-
-  /// Absorbs partition shard `shard`'s sub-slice into candidate `c`'s
-  /// shard-private delta counters. Must touch only (c, shard)-local
-  /// state plus round-constant shared state: the driver calls this
-  /// concurrently across distinct (c, shard) pairs. Requires
-  /// PrepareSharding and CandidateShardable(c).
-  virtual void UpdateCandidateShard(size_t /*c*/, size_t /*shard*/,
-                                    const ShardSlicePartition& /*partition*/) {
-  }
-
-  /// Merges candidate `c`'s delta counters into its cumulative counters
-  /// in fixed ascending shard order, resets the deltas, and recomputes
-  /// interval(c) at sample size `m`. Candidate-local; the driver calls
-  /// it for every shardable active candidate once all of the round's
-  /// shard tasks completed.
-  virtual void FinalizeCandidate(size_t /*c*/,
-                                 const ShardSlicePartition& /*partition*/,
-                                 uint64_t /*m*/) {}
 
   /// The kind-specific top-k stopping rule, given the k-th largest upper
   /// bound over `active`. Each implementation reproduces its algorithm's

@@ -13,20 +13,4 @@ double FrequencyCounter::SampleEntropy() const {
   return EntropyFromCounts(counts_.data(), counts_.size(), sample_count_);
 }
 
-void FrequencyCounter::Merge(const FrequencyCounter& other) {
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const uint64_t add = other.counts_[i];
-    if (add == 0) continue;
-    if (counts_[i] == 0) ++distinct_seen_;
-    counts_[i] += add;
-  }
-  sample_count_ += other.sample_count_;
-}
-
-void FrequencyCounter::Reset() {
-  counts_.assign(counts_.size(), 0);
-  sample_count_ = 0;
-  distinct_seen_ = 0;
-}
-
 }  // namespace swope

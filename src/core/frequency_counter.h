@@ -52,18 +52,8 @@ class FrequencyCounter {
 
   /// Sample entropy H_S(alpha) in bits (0 when no samples). One O(u)
   /// scan per call, in ascending value order -- a pure function of the
-  /// counts, so any partition of the sample that merges to the same
-  /// counts yields the bitwise-same entropy (the shard-merge
-  /// determinism argument; docs/SHARDING.md).
+  /// counts.
   double SampleEntropy() const;
-
-  /// Adds `other`'s counts into this counter (same support required).
-  /// Count addition is exact and commutative, so a whole-slice count and
-  /// any shard-partitioned count-then-merge reach identical state.
-  void Merge(const FrequencyCounter& other);
-
-  /// Forgets everything.
-  void Reset();
 
  private:
   std::pmr::vector<uint64_t> counts_;

@@ -38,44 +38,6 @@ void PairCounter::AddSparse(ValueCode a, ValueCode b) {
   }
 }
 
-void PairCounter::MergeKey(uint64_t key, uint64_t add) {
-  uint64_t& slot = is_dense_ ? dense_[key] : sparse_[key];
-  const uint64_t old_count = slot;
-  if (old_count == 0) ++distinct_pairs_;
-  slot = old_count + add;
-  // One jump instead of `add` unit increments; counts stay exact, the
-  // running sum absorbs the whole step.
-  sum_xlog2x_ += XLog2X(static_cast<double>(old_count + add)) -
-                 XLog2X(static_cast<double>(old_count));
-  sample_count_ += add;
-  if (!is_dense_ && cells_ <= dense_limit_ && distinct_pairs_ * 8 >= cells_) {
-    MigrateToDense();
-  }
-}
-
-void PairCounter::Merge(const PairCounter& other) {
-  assert(other.support_b_ == support_b_ && other.cells_ == cells_);
-  if (other.is_dense_) {
-    for (uint64_t key = 0; key < other.cells_; ++key) {
-      if (other.dense_[key] != 0) MergeKey(key, other.dense_[key]);
-    }
-  } else {
-    other.sparse_.ForEach(
-        [&](uint64_t key, uint64_t add) { MergeKey(key, add); });
-  }
-}
-
-void PairCounter::Reset() {
-  if (is_dense_) {
-    std::fill(dense_.begin(), dense_.end(), 0);
-  } else {
-    sparse_.Clear();
-  }
-  sample_count_ = 0;
-  distinct_pairs_ = 0;
-  sum_xlog2x_ = 0.0;
-}
-
 void PairCounter::MigrateToDense() {
   dense_.assign(cells_, 0);
   sparse_.ForEach(

@@ -64,22 +64,6 @@ class PairCounter {
   /// Sample joint entropy H_S(a, b) in bits.
   double SampleJointEntropy() const;
 
-  /// Adds `other`'s counts into this counter. `other` must have been
-  /// built over the same key space (same supports); its layout (dense or
-  /// sparse) is irrelevant. Pair counts, the sample count, and the
-  /// distinct-pair count merge by exact integer addition, so whole-slice
-  /// counting and any shard-partitioned count-then-merge reach identical
-  /// counts (pinned by shard_merge_property_test). The running
-  /// x*log2(x) sum is updated per merged key, so merged entropies may
-  /// differ from a sample-by-sample build in the last ulps -- which is
-  /// why the query hot path replays samples in slice order instead of
-  /// merging (docs/SHARDING.md).
-  void Merge(const PairCounter& other);
-
-  /// Forgets all counts, keeping the domain and (for a migrated counter)
-  /// the dense layout.
-  void Reset();
-
   /// Count of a specific pair (for tests).
   uint64_t count(ValueCode a, ValueCode b) const;
 
@@ -89,7 +73,6 @@ class PairCounter {
   }
   void Bump(uint64_t& slot);
   void AddSparse(ValueCode a, ValueCode b);
-  void MergeKey(uint64_t key, uint64_t add);
   void MigrateToDense();
 
   uint32_t support_b_;

@@ -19,8 +19,8 @@
 // pins this with an interposed counting allocator).
 //
 // Thread safety: the pool is internally synchronized; one lease must be
-// used by one query at a time (the query's own shard tasks may allocate
-// concurrently -- Arena::Allocate is locked).
+// used by one query at a time (the query's own candidate updates may
+// allocate concurrently -- Arena::Allocate is locked).
 
 #ifndef SWOPE_CORE_QUERY_MEMORY_H_
 #define SWOPE_CORE_QUERY_MEMORY_H_

@@ -15,7 +15,6 @@ namespace swope {
 
 class CodeScratchArena;
 struct ExecControl;
-class Histogram;
 class QueryTrace;
 class StageProfiler;
 class ThreadPool;
@@ -81,23 +80,15 @@ struct QueryOptions {
   /// pointee alive for the duration of the query.
   const ExecControl* control = nullptr;
 
-  /// Intra-query parallelism: when non-null, the driver decomposes the
-  /// counter-update phase of each round into (candidate x shard) tasks
-  /// and fans them out across this pool. Answers are byte-identical to
-  /// the serial path at any thread count and any shard count (shard
-  /// tasks count into private deltas merged in fixed shard order, and
-  /// every reduction runs serially in fixed candidate order; see
-  /// docs/CORE.md and docs/SHARDING.md), so this is ignored by
-  /// ResultCache canonicalization. Not owned; may be null. The caller
-  /// keeps the pool alive for the duration of the query.
+  /// Intra-query parallelism: when non-null, the driver runs each
+  /// round's candidate updates as one task per candidate on this pool.
+  /// Answers are byte-identical to the serial path at any thread count
+  /// (each task touches only its candidate's counters, and every
+  /// reduction runs serially in fixed candidate order; see docs/CORE.md),
+  /// so this is ignored by ResultCache canonicalization. Not owned; may
+  /// be null. The caller keeps the pool alive for the duration of the
+  /// query.
   ThreadPool* pool = nullptr;
-
-  /// Observability hook: when non-null, the driver records each shard
-  /// task's wall-clock milliseconds into it (the engine wires this to
-  /// the swope_engine_shard_task_ms histogram). Affects no answer bytes,
-  /// so it is ignored by ResultCache canonicalization. Not owned; may be
-  /// null. The caller keeps the pointee alive for the query's duration.
-  Histogram* shard_task_latency = nullptr;
 
   /// Observability hook: when non-null, the driver records one RoundTrace
   /// per sampling round into it (src/obs/query_trace.h). Every field
@@ -127,12 +118,12 @@ struct QueryOptions {
   CodeScratchArena* scratch = nullptr;
 
   /// Observability hook: when non-null, the driver and scorers attribute
-  /// CPU time to the fixed stage taxonomy (src/obs/profiler.h) at
-  /// (candidate x shard)-task granularity -- gather, count, shard-merge,
-  /// replay, interval-update, finalize. Affects no answer bytes, so it
-  /// is ignored by ResultCache canonicalization. When null (the default)
-  /// each would-be stage timer costs one branch and no clock read. Not
-  /// owned; the caller keeps the pointee alive for the query's duration.
+  /// CPU time to the fixed stage taxonomy (src/obs/profiler.h) per
+  /// candidate update -- gather, count, interval-update, finalize.
+  /// Affects no answer bytes, so it is ignored by ResultCache
+  /// canonicalization. When null (the default) each would-be stage timer
+  /// costs one branch and no clock read. Not owned; the caller keeps the
+  /// pointee alive for the query's duration.
   StageProfiler* profiler = nullptr;
 
   /// Validates ranges; returns InvalidArgument with a description on

@@ -46,10 +46,6 @@ std::unique_ptr<SketchFrequencyProvider> MakeScorerSketch(
 // bits, so (kJointSaltBit | column) never collides with a marginal salt.
 constexpr uint64_t kJointSaltBit = uint64_t{1} << 32;
 
-// FinalizeCandidate re-evaluates a candidate's merged counters by running
-// the ordinary whole-slice update over this zero-length slice.
-const std::vector<uint32_t> kEmptySlice;
-
 }  // namespace
 
 EntropyScorer::EntropyScorer(const Table& table, const QueryOptions& options)
@@ -59,7 +55,6 @@ EntropyScorer::EntropyScorer(const Table& table, const QueryOptions& options)
       views_(memory_),
       counters_(memory_),
       sketches_(memory_),
-      deltas_(memory_),
       scratch_(options.scratch != nullptr ? *options.scratch : own_scratch_) {
   const size_t h = table.num_columns();
   columns_.resize(h);
@@ -112,50 +107,6 @@ void EntropyScorer::UpdateCandidate(size_t c,
                             n_, m, p_iter_);
   }
   intervals_[c] = {interval.lower, interval.upper, interval.bias};
-}
-
-void EntropyScorer::PrepareSharding(size_t num_shards) {
-  deltas_.resize(counters_.size());
-  for (size_t c = 0; c < counters_.size(); ++c) {
-    if (sketches_[c] != nullptr) continue;
-    deltas_[c].reserve(num_shards);
-    while (deltas_[c].size() < num_shards) {
-      deltas_[c].emplace_back(views_[c].support(), memory_);
-    }
-  }
-}
-
-void EntropyScorer::UpdateCandidateShard(size_t c, size_t shard,
-                                         const ShardSlicePartition& partition) {
-  const std::vector<uint32_t>& rows = partition.local_rows(shard);
-  CodeScratchArena::Lease lease(scratch_);
-  const ValueCode* codes;
-  {
-    StageTimer timer(profiler_, Stage::kGather);
-    codes =
-        views_[c].GatherShard(shard, rows.data(), rows.size(), lease.buffer());
-  }
-  StageTimer timer(profiler_, Stage::kCount);
-  deltas_[c][shard].AddCodes(codes, rows.size());
-}
-
-void EntropyScorer::FinalizeCandidate(size_t c,
-                                      const ShardSlicePartition& partition,
-                                      uint64_t m) {
-  // Ascending shard order; merging is exact integer addition, so the
-  // merged counts equal the whole-slice counts exactly.
-  {
-    StageTimer timer(profiler_, Stage::kShardMerge);
-    for (size_t s = 0; s < partition.num_shards(); ++s) {
-      if (partition.local_rows(s).empty()) continue;
-      counters_[c].Merge(deltas_[c][s]);
-      deltas_[c][s].Reset();
-    }
-  }
-  // Empty-slice update: absorbs nothing, evaluates the merged counts
-  // through the same code path (and machine code) as a serial round, so
-  // the interval is bitwise identical by construction.
-  UpdateCandidate(c, kEmptySlice, 0, 0, m);
 }
 
 bool EntropyScorer::TopKShouldStop(const std::pmr::vector<size_t>& active,
@@ -313,54 +264,6 @@ MiInterval MiScorer::UpdateMi(size_t c, const std::vector<uint32_t>& order,
   if (marginal_out != nullptr) *marginal_out = marginal_interval;
   StageTimer timer(profiler_, Stage::kIntervalUpdate);
   return MakeMiInterval(target_interval_, marginal_interval, joint_interval);
-}
-
-void MiScorer::PrepareSharding(size_t num_shards) {
-  for (size_t c = 0; c < counters_.size(); ++c) {
-    if (!CandidateShardable(c)) continue;
-    counters_[c].shard_codes.resize(num_shards);
-  }
-}
-
-void MiScorer::UpdateCandidateShard(size_t c, size_t shard,
-                                    const ShardSlicePartition& partition) {
-  // Gather only: decode this shard's rows of the candidate column into
-  // the (candidate, shard)-private buffer. Counting happens serially in
-  // FinalizeCandidate -- the joint counter's running x*log2(x) sum is
-  // sample-order-sensitive in its last ulps, so the parallel win here is
-  // the decode, and the per-candidate replay parallelizes across
-  // candidates.
-  CandidateCounters& counter = counters_[c];
-  const std::vector<uint32_t>& rows = partition.local_rows(shard);
-  StageTimer timer(profiler_, Stage::kGather);
-  views_[c].GatherShard(shard, rows.data(), rows.size(),
-                        counter.shard_codes[shard]);
-}
-
-void MiScorer::FinalizeCandidate(size_t c,
-                                 const ShardSlicePartition& partition,
-                                 uint64_t m) {
-  // Scatter the per-shard gathers back into slice order, then feed the
-  // identical AddCodes calls a serial round would make. The counters --
-  // integer counts and the joint's order-sensitive running sum alike --
-  // evolve bit-identically to the serial path, and the empty-slice
-  // update below re-derives the interval through the same composition
-  // code (virtual dispatch routes NmiScorer through its NMI
-  // normalization). Bitwise-identical answers by construction.
-  CandidateCounters& counter = counters_[c];
-  std::pmr::vector<ValueCode>& replay = counter.replay;
-  {
-    StageTimer timer(profiler_, Stage::kReplay);
-    replay.resize(partition.slice_size());
-    for (size_t s = 0; s < partition.num_shards(); ++s) {
-      const std::vector<uint32_t>& pos = partition.slice_pos(s);
-      const std::pmr::vector<ValueCode>& codes = counter.shard_codes[s];
-      for (size_t i = 0; i < pos.size(); ++i) replay[pos[i]] = codes[i];
-    }
-    counter.marginal.AddCodes(replay.data(), replay.size());
-    counter.joint.AddCodes(target_slice_.data(), replay.data(), replay.size());
-  }
-  UpdateCandidate(c, kEmptySlice, 0, 0, m);
 }
 
 void MiScorer::UpdateCandidate(size_t c, const std::vector<uint32_t>& order,

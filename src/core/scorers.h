@@ -40,7 +40,6 @@
 #include "src/core/frequency_counter.h"
 #include "src/core/pair_counter.h"
 #include "src/core/query_options.h"
-#include "src/core/shard_partition.h"
 #include "src/core/sketch_estimation.h"
 #include "src/sketch/frequency_provider.h"
 #include "src/table/column_view.h"
@@ -57,15 +56,6 @@ class EntropyScorer : public Scorer {
   uint64_t CellsPerRow(size_t active) const override { return active; }
   void UpdateCandidate(size_t c, const std::vector<uint32_t>& order,
                        uint64_t begin, uint64_t end, uint64_t m) override;
-  /// Exact candidates shard; sketched ones are order-dependent and don't.
-  bool CandidateShardable(size_t c) const override {
-    return sketches_[c] == nullptr;
-  }
-  void PrepareSharding(size_t num_shards) override;
-  void UpdateCandidateShard(size_t c, size_t shard,
-                            const ShardSlicePartition& partition) override;
-  void FinalizeCandidate(size_t c, const ShardSlicePartition& partition,
-                         uint64_t m) override;
   /// Algorithm 1 line 8: (kth_upper - 2*lambda - b_max) / kth_upper
   /// >= 1 - epsilon, with b_max the largest bias among current top-k
   /// members.
@@ -82,9 +72,6 @@ class EntropyScorer : public Scorer {
   // (null when exact) is live per candidate.
   std::pmr::vector<FrequencyCounter> counters_;
   std::pmr::vector<std::unique_ptr<SketchFrequencyProvider>> sketches_;
-  // Per-candidate per-shard delta counters for the shard-decomposed
-  // rounds (empty for sketched candidates); sized by PrepareSharding.
-  std::pmr::vector<std::pmr::vector<FrequencyCounter>> deltas_;
   // Decode buffers, recycled across rounds and shared by the pool
   // workers: the engine-pooled arena (QueryOptions::scratch) when
   // provided, else a query-local fallback.
@@ -108,17 +95,6 @@ class MiScorer : public Scorer {
                   uint64_t end, uint64_t m) override;
   void UpdateCandidate(size_t c, const std::vector<uint32_t>& order,
                        uint64_t begin, uint64_t end, uint64_t m) override;
-  /// Shardable when both the marginal and the joint counters are exact;
-  /// any sketched side pins the candidate to whole-slice updates.
-  bool CandidateShardable(size_t c) const override {
-    return counters_[c].marginal_sketch == nullptr &&
-           counters_[c].joint_sketch == nullptr;
-  }
-  void PrepareSharding(size_t num_shards) override;
-  void UpdateCandidateShard(size_t c, size_t shard,
-                            const ShardSlicePartition& partition) override;
-  void FinalizeCandidate(size_t c, const ShardSlicePartition& partition,
-                         uint64_t m) override;
   /// Algorithm 3: (kth_upper - slack_max) / kth_upper >= 1 - epsilon,
   /// with slack_max the largest b' among current top-k members.
   bool TopKShouldStop(const std::pmr::vector<size_t>& active,
@@ -147,10 +123,7 @@ class MiScorer : public Scorer {
     /// Every container allocates from `memory` so an arena-backed query
     /// builds its whole candidate state in the arena.
     explicit CandidateCounters(std::pmr::memory_resource* memory)
-        : marginal(0, memory),
-          joint(0, 0, 1ULL << 20, memory),
-          shard_codes(memory),
-          replay(memory) {}
+        : marginal(0, memory), joint(0, 0, 1ULL << 20, memory) {}
 
     FrequencyCounter marginal;
     PairCounter joint;
@@ -159,16 +132,6 @@ class MiScorer : public Scorer {
     // engaged whenever either marginal is sketched.
     std::unique_ptr<SketchFrequencyProvider> marginal_sketch;
     std::unique_ptr<SketchFrequencyProvider> joint_sketch;
-    // Shard-task scratch (empty on the sketch path; sized by
-    // PrepareSharding). Shard tasks only *gather*: shard_codes[s] holds
-    // the candidate codes of the rows routed to shard s, aligned with
-    // the partition's slice_pos(s). FinalizeCandidate scatters them back
-    // into `replay` in slice order and feeds the serial AddCodes path,
-    // so the counters -- including the joint counter's order-sensitive
-    // running x*log2(x) sum -- evolve bit-identically to a serial round
-    // (docs/SHARDING.md).
-    std::pmr::vector<std::pmr::vector<ValueCode>> shard_codes;
-    std::pmr::vector<ValueCode> replay;
   };
 
   ColumnView target_view_;

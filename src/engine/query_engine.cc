@@ -130,13 +130,6 @@ QueryEngine::QueryEngine(EngineConfig config)
       query_rounds_(metrics_.GetHistogram(
           "swope_query_rounds", {},
           {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64})),
-      // Fine buckets: shard tasks are sub-50us on well-sharded tables, so
-      // the default request-latency buckets would pile everything into the
-      // lowest one or two.
-      shard_task_ms_(metrics_.GetHistogram("swope_engine_shard_task_ms", {},
-                                           FineLatencyBucketsMs())),
-      in_flight_tasks_gauge_(
-          metrics_.GetGauge("swope_engine_in_flight_tasks")),
       ingest_latency_ms_(metrics_.GetHistogram(
           "swope_engine_ingest_latency_ms", {}, DefaultLatencyBucketsMs())),
       query_arena_bytes_(metrics_.GetGauge("swope_query_arena_bytes")),
@@ -165,14 +158,10 @@ QueryEngine::QueryEngine(EngineConfig config)
 }
 
 Status QueryEngine::RegisterDataset(const std::string& name, Table table) {
-  if (config_.shard_size > 0) table = table.Resharded(config_.shard_size);
-  const size_t num_shards = table.num_shards();
   const uint64_t num_rows = table.num_rows();
   SWOPE_RETURN_NOT_OK(registry_.Put(name, std::move(table)));
-  RecordShardGeometry(name, num_shards);
   event_log_.Append(EventKind::kDatasetLoad, name,
-                    "rows=" + std::to_string(num_rows) +
-                        " shards=" + std::to_string(num_shards));
+                    "rows=" + std::to_string(num_rows));
   return Status::OK();
 }
 
@@ -214,9 +203,7 @@ Status QueryEngine::Ingest(const std::string& name,
   if (!appended.ok()) return appended.status();
   // Put re-fingerprints the new contents; result-cache entries keyed by
   // the old fingerprint become unreachable for this name automatically.
-  const size_t num_shards = appended->num_shards();
   SWOPE_RETURN_NOT_OK(registry_.Put(name, *std::move(appended)));
-  RecordShardGeometry(name, num_shards);
   ingest_rows_->Increment(rows.size());
   const double ingest_ms = latency.ElapsedMillis();
   ingest_latency_ms_->Observe(ingest_ms);
@@ -336,21 +323,16 @@ Result<QueryResponse> QueryEngine::Execute(const DatasetHandle& dataset,
     control.SetTimeout(std::chrono::milliseconds(timeout_ms));
   }
 
-  // A query's admission weight is its table's shard count: the number of
-  // tasks one of its rounds can put on the shared pool per candidate.
-  const size_t task_weight =
-      std::max<size_t>(1, dataset->table.num_shards());
   {
     StageTimer admit_timer(profiler.get(), Stage::kSchedulingWait);
-    SWOPE_RETURN_NOT_OK(AdmitQuery(control, task_weight, dataset->name));
+    SWOPE_RETURN_NOT_OK(AdmitQuery(control, dataset->name));
   }
   struct SlotRelease {
     QueryEngine* engine;
-    size_t task_weight;
     ~SlotRelease() REQUIRES(!engine->admission_mutex_) {
-      engine->ReleaseSlot(task_weight);
+      engine->ReleaseSlot();
     }
-  } release{this, task_weight};
+  } release{this};
 
   const Table& table = dataset->table;
   QueryOptions options = resolved.options;
@@ -370,9 +352,8 @@ Result<QueryResponse> QueryEngine::Execute(const DatasetHandle& dataset,
   options.profiler = profiler.get();
   // Dedicated pool: intra-query ParallelFor must not share the executor,
   // where a blocked caller would help-drain whole-query tasks. Every
-  // concurrent query shards onto this one stealing pool.
+  // concurrent query runs its candidate updates on this one pool.
   options.pool = intra_pool_.get();
-  options.shard_task_latency = shard_task_ms_;
   if (table.num_rows() > 0) {
     options.shared_order = permutation_cache_.GetOrCreate(
         dataset->fingerprint, static_cast<uint32_t>(table.num_rows()),
@@ -400,26 +381,13 @@ Result<QueryResponse> QueryEngine::Execute(const DatasetHandle& dataset,
   return response;
 }
 
-bool QueryEngine::AdmissibleLocked(size_t task_weight) const {
-  if (in_flight_ >= config_.max_in_flight) return false;
-  // The task budget bounds summed shard counts across executing queries.
-  // A query heavier than the whole budget still admits once it would run
-  // alone, so oversized tables degrade to serial admission instead of
-  // deadlocking.
-  if (config_.max_in_flight_tasks > 0 && in_flight_ > 0 &&
-      in_flight_tasks_ + task_weight > config_.max_in_flight_tasks) {
-    return false;
-  }
-  return true;
-}
-
-Status QueryEngine::AdmitQuery(ExecControl& control, size_t task_weight,
+Status QueryEngine::AdmitQuery(ExecControl& control,
                                const std::string& dataset) {
-  // Admission control: bounded concurrent executions and bounded
-  // in-flight shard tasks. Waiting honours the query's own deadline and
-  // cancellation (polled, so no token->cv hookup is needed).
+  // Admission control: bounded concurrent executions. Waiting honours the
+  // query's own deadline and cancellation (polled, so no token->cv
+  // hookup is needed).
   MutexLock lock(admission_mutex_);
-  if (!AdmissibleLocked(task_weight)) {
+  if (in_flight_ >= config_.max_in_flight) {
     if (config_.max_admission_waiters > 0 &&
         admission_waiters_ >= config_.max_admission_waiters) {
       // Load shedding: bounded queue. Callers can distinguish shed
@@ -434,7 +402,7 @@ Status QueryEngine::AdmitQuery(ExecControl& control, size_t task_weight,
     admission_waits_->Increment();
     ++admission_waiters_;
     admission_waiting_->Add(1);
-    while (!AdmissibleLocked(task_weight)) {
+    while (in_flight_ >= config_.max_in_flight) {
       const Status status = control.Check();
       if (!status.ok()) {
         --admission_waiters_;
@@ -447,32 +415,19 @@ Status QueryEngine::AdmitQuery(ExecControl& control, size_t task_weight,
     admission_waiting_->Add(-1);
   }
   ++in_flight_;
-  in_flight_tasks_ += task_weight;
   in_flight_gauge_->Set(static_cast<int64_t>(in_flight_));
-  in_flight_tasks_gauge_->Set(static_cast<int64_t>(in_flight_tasks_));
   event_log_.Append(EventKind::kQueryAdmit, dataset,
-                    "weight=" + std::to_string(task_weight) +
-                        " in_flight=" + std::to_string(in_flight_));
+                    "in_flight=" + std::to_string(in_flight_));
   return Status::OK();
 }
 
-void QueryEngine::ReleaseSlot(size_t task_weight) {
+void QueryEngine::ReleaseSlot() {
   {
     MutexLock lock(admission_mutex_);
     --in_flight_;
-    in_flight_tasks_ -= task_weight;
     in_flight_gauge_->Set(static_cast<int64_t>(in_flight_));
-    in_flight_tasks_gauge_->Set(static_cast<int64_t>(in_flight_tasks_));
   }
-  // NotifyAll: waiters carry different task weights, so the first waiter
-  // woken is not necessarily the one that now fits.
-  admission_cv_.NotifyAll();
-}
-
-void QueryEngine::RecordShardGeometry(const std::string& name,
-                                      size_t num_shards) {
-  metrics_.GetGauge("swope_engine_dataset_shards", {{"dataset", name}})
-      ->Set(static_cast<int64_t>(num_shards));
+  admission_cv_.NotifyOne();
 }
 
 Result<QueryResponse> QueryEngine::Dispatch(const Table& table,

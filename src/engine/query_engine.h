@@ -47,26 +47,17 @@ namespace swope {
 struct EngineConfig {
   /// Executor threads for Submit(); >= 1.
   size_t num_threads = 4;
-  /// Worker threads for the intra-query shard-task phase
+  /// Worker threads for the intra-query candidate updates
   /// (QueryOptions::pool), shared by every concurrently executing query;
-  /// 1 = serial. Answers are byte-identical either way (docs/CORE.md,
-  /// docs/SHARDING.md), so this is purely a latency knob.
+  /// 1 = serial. Answers are byte-identical either way (docs/CORE.md), so
+  /// this is purely a latency knob.
   size_t intra_query_threads = 1;
   /// Scheduling mode for both pools (executor + intra-query). Never
   /// affects answers; kSingleQueue is the throughput A/B baseline.
   PoolMode pool_mode = PoolMode::kWorkStealing;
-  /// When > 0, tables are resharded to this many rows per shard at
-  /// registration (docs/SHARDING.md); 0 keeps each table's layout.
-  uint64_t shard_size = 0;
   /// Admission control: queries executing concurrently (not counting
   /// cache hits, which bypass admission). Further Run calls wait; >= 1.
   size_t max_in_flight = 8;
-  /// Admission control over *tasks*: bounds the summed shard counts of
-  /// concurrently executing queries (each query's weight is its table's
-  /// shard count -- the shard tasks it puts on the shared pool per
-  /// round). 0 = unbounded. A query heavier than the whole budget still
-  /// admits when it would run alone, so the bound cannot deadlock.
-  size_t max_in_flight_tasks = 0;
   /// Load shedding: when > 0, a query that finds this many queries
   /// already waiting in admission is rejected immediately with
   /// Unavailable (counted in swope_engine_rejected_total) instead of
@@ -186,9 +177,8 @@ class QueryEngine {
   /// per-query build. With `mmap` set, SWPB files load through the
   /// mapped path (binary_io.h): page-aligned payloads are borrowed from
   /// the mapping and stay OS-paged instead of heap-resident -- they do
-  /// not count against the registry's memory budget. Note that
-  /// EngineConfig::shard_size resharding (and max_support dropping high
-  /// columns) re-packs affected payloads onto the heap.
+  /// not count against the registry's memory budget. A later Ingest
+  /// copies the appended columns onto the heap.
   Status RegisterDatasetFile(const std::string& name, const std::string& path,
                              uint32_t max_support = 0,
                              double sketch_epsilon = 0.0,
@@ -241,24 +231,15 @@ class QueryEngine {
                                 const CancellationToken* cancel)
       REQUIRES(!admission_mutex_);
 
-  /// Blocks until an execution slot and `task_weight` units of the task
-  /// budget are free (or `control` cancels / expires, or the waiting
-  /// queue is full) and claims them. Each successful admission must be
-  /// paired with exactly one ReleaseSlot(task_weight). `dataset` labels
-  /// the admit/reject events this emits.
-  Status AdmitQuery(ExecControl& control, size_t task_weight,
-                    const std::string& dataset) REQUIRES(!admission_mutex_);
+  /// Blocks until an execution slot is free (or `control` cancels /
+  /// expires, or the waiting queue is full) and claims it. Each
+  /// successful admission must be paired with exactly one ReleaseSlot().
+  /// `dataset` labels the admit/reject events this emits.
+  Status AdmitQuery(ExecControl& control, const std::string& dataset)
+      REQUIRES(!admission_mutex_);
 
-  /// Returns an execution slot and task budget claimed by AdmitQuery.
-  void ReleaseSlot(size_t task_weight) REQUIRES(!admission_mutex_);
-
-  /// True when a query of `task_weight` may start now.
-  bool AdmissibleLocked(size_t task_weight) const
-      REQUIRES(admission_mutex_);
-
-  /// Mirrors a registered dataset's shard count into the
-  /// swope_engine_dataset_shards{dataset=...} gauge.
-  void RecordShardGeometry(const std::string& name, size_t num_shards);
+  /// Returns an execution slot claimed by AdmitQuery.
+  void ReleaseSlot() REQUIRES(!admission_mutex_);
 
   /// Dispatches to the right driver; returns items via `response`.
   Result<QueryResponse> Dispatch(const Table& table,
@@ -287,8 +268,6 @@ class QueryEngine {
   Mutex admission_mutex_;
   CondVar admission_cv_;
   size_t in_flight_ GUARDED_BY(admission_mutex_) = 0;
-  /// Summed task weights (table shard counts) of executing queries.
-  size_t in_flight_tasks_ GUARDED_BY(admission_mutex_) = 0;
   /// Queries currently blocked in AdmitQuery.
   size_t admission_waiters_ GUARDED_BY(admission_mutex_) = 0;
 
@@ -312,11 +291,6 @@ class QueryEngine {
   Histogram* const query_latency_ms_[6];
   /// Sampling rounds per executed query (from QueryStats::iterations).
   Histogram* const query_rounds_;
-  /// Per-shard task wall time inside the driver's round loop (wired to
-  /// QueryOptions::shard_task_latency for every executed query).
-  Histogram* const shard_task_ms_;
-  /// In-flight task weight (summed shard counts of executing queries).
-  Gauge* const in_flight_tasks_gauge_;
   /// Wall time of Ingest calls (parse + append + re-fingerprint).
   Histogram* const ingest_latency_ms_;
   /// Arena bytes reserved by the most recently completed executed query

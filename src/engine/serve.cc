@@ -1,5 +1,6 @@
 #include "src/engine/serve.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -42,14 +43,28 @@ Result<ParsedRequest> ParseRequest(const std::string& line) {
 }
 
 Result<uint64_t> ParseUint(const std::string& text, const std::string& key) {
+  // strtoull accepts a leading '-' and wraps it (k=-1 would become
+  // 2^64-1), and saturates out-of-range input with ERANGE; reject both.
   char* end = nullptr;
+  errno = 0;
   const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
+  if (end == text.c_str() || *end != '\0' ||
+      text.find('-') != std::string::npos || errno == ERANGE) {
     return Status::InvalidArgument("argument " + key +
                                    " wants an unsigned integer, got '" +
                                    text + "'");
   }
   return static_cast<uint64_t>(value);
+}
+
+// Flags take exactly 0, 1, true or false; anything else is an error
+// rather than a silent false.
+Result<bool> ParseBool(const std::string& text, const std::string& key) {
+  if (text == "1" || text == "true") return true;
+  if (text == "0" || text == "false") return false;
+  return Status::InvalidArgument("argument " + key +
+                                 " wants 0, 1, true or false, got '" + text +
+                                 "'");
 }
 
 Result<double> ParseDouble(const std::string& text, const std::string& key) {
@@ -161,16 +176,17 @@ Result<QuerySpec> SpecFromArgs(
                            ParseDouble(*v, "sketch-epsilon"));
   }
   if (const std::string* v = get("sequential")) {
-    spec.options.sequential_sampling = (*v == "1" || *v == "true");
+    SWOPE_ASSIGN_OR_RETURN(spec.options.sequential_sampling,
+                           ParseBool(*v, "sequential"));
   }
   if (const std::string* v = get("timeout-ms")) {
     SWOPE_ASSIGN_OR_RETURN(spec.timeout_ms, ParseUint(*v, "timeout-ms"));
   }
   if (const std::string* v = get("trace")) {
-    spec.trace = (*v == "1" || *v == "true");
+    SWOPE_ASSIGN_OR_RETURN(spec.trace, ParseBool(*v, "trace"));
   }
   if (const std::string* v = get("profile")) {
-    spec.profile = (*v == "1" || *v == "true");
+    SWOPE_ASSIGN_OR_RETURN(spec.profile, ParseBool(*v, "profile"));
   }
   return spec;
 }
@@ -180,7 +196,7 @@ std::string CountersToJson(const EngineCounters& counters,
                            const EngineConfig& config) {
   std::string json = "{\"ok\":true,\"op\":\"stats\"";
   // Execution geometry first: which scheduler and how much intra-query
-  // parallelism this engine runs with (docs/SHARDING.md).
+  // parallelism this engine runs with (docs/ENGINE.md).
   json += ",\"pool_mode\":\"";
   json += PoolModeName(config.pool_mode);
   json += "\",\"intra_query_threads\":" +
@@ -446,7 +462,9 @@ std::string HandleRequestLine(QueryEngine& engine, const std::string& line,
     }
     bool mmap = false;
     if (auto it = request->args.find("mmap"); it != request->args.end()) {
-      mmap = it->second == "1" || it->second == "true";
+      auto parsed = ParseBool(it->second, "mmap");
+      if (!parsed.ok()) return StatusToJson(parsed.status());
+      mmap = *parsed;
     }
     const Status status =
         engine.RegisterDatasetFile(name->second, path->second, max_support,
@@ -459,9 +477,6 @@ std::string HandleRequestLine(QueryEngine& engine, const std::string& line,
     json += ",\"rows\":" + std::to_string((*dataset)->table.num_rows());
     json +=
         ",\"columns\":" + std::to_string((*dataset)->table.num_columns());
-    json += ",\"shards\":" + std::to_string((*dataset)->table.num_shards());
-    json +=
-        ",\"shard_size\":" + std::to_string((*dataset)->table.shard_size());
     // The byte split a mapped load exists for: resident is heap (what
     // the registry budget charges), mapped stays OS-paged.
     json +=

@@ -126,13 +126,6 @@ const std::vector<double>& DefaultLatencyBucketsMs() {
   return kBuckets;
 }
 
-const std::vector<double>& FineLatencyBucketsMs() {
-  static const std::vector<double> kBuckets = {
-      0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
-      0.5,   1,      2.5,   5,    10,    25,   50};
-  return kBuckets;
-}
-
 MetricsRegistry::Entry& MetricsRegistry::GetOrCreate(const std::string& name,
                                                      MetricLabels labels,
                                                      Type type) {

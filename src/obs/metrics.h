@@ -133,11 +133,6 @@ class Histogram {
 /// queries (~s).
 const std::vector<double>& DefaultLatencyBucketsMs();
 
-/// Fine-grained buckets in milliseconds: 1us to 50ms, for sub-millisecond
-/// work like (candidate x shard) tasks, where the default set would fold
-/// every observation into its bottom buckets.
-const std::vector<double>& FineLatencyBucketsMs();
-
 /// The metric store. Registration and rendering take a mutex; updates on
 /// the returned handles never do. Get* calls are idempotent: the same
 /// (name, labels) returns the same handle, so any component may resolve a

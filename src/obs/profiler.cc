@@ -74,10 +74,6 @@ const char* StageName(Stage stage) {
       return "gather";
     case Stage::kCount:
       return "count";
-    case Stage::kShardMerge:
-      return "shard-merge";
-    case Stage::kReplay:
-      return "replay";
     case Stage::kIntervalUpdate:
       return "interval-update";
     case Stage::kSchedulingWait:

@@ -1,7 +1,6 @@
 // StageProfiler: per-query attribution of CPU time across the fixed
 // stages of an adaptive-sampling round -- the evidence layer for kernel
-// work (where do cycles go: gather vs count?) and for adaptive shard
-// sizing (how long is a (candidate x shard) task?).
+// work (where do cycles go: gather vs count?).
 //
 // Timing uses a raw tick source: the TSC on x86-64, the generic counter
 // on aarch64, and SteadyNow() nanoseconds elsewhere. Ticks are converted
@@ -13,8 +12,8 @@
 // Profiling is an opt-in via QueryOptions::profiler, with the same
 // discipline as QueryOptions::trace: when the pointer is null a
 // StageTimer costs one branch and no clock read (BM_ProfileOverhead pins
-// the disabled cost < 1%). Stage cells are relaxed atomics, so shard
-// tasks running on pool workers record concurrently without locks.
+// the disabled cost < 1%). Stage cells are relaxed atomics, so candidate
+// updates running on pool workers record concurrently without locks.
 //
 // Semantics of the recorded numbers: each stage accumulates the CPU time
 // spent inside that stage across all threads. On a serial run the stages
@@ -36,18 +35,12 @@ namespace swope {
 /// The fixed stage taxonomy of one adaptive-sampling query. Stages are
 /// disjoint: no StageTimer nests inside another stage's timer.
 enum class Stage : uint8_t {
-  /// Decoding bit-packed codes into scratch buffers (ColumnView::Gather /
-  /// GatherShard), including the MI target-column gather.
+  /// Decoding bit-packed codes into scratch buffers (ColumnView::Gather),
+  /// including the MI target-column gather.
   kGather = 0,
   /// Histogram counting over gathered codes (FrequencyCounter /
   /// PairCounter AddCodes/AddPairs, sketch absorbs).
   kCount,
-  /// Merging per-shard FrequencyCounter deltas in ascending shard order
-  /// (the entropy-side reduction).
-  kShardMerge,
-  /// Scatter-and-replay of shard-gathered codes through the serial
-  /// AddCodes stream (the MI/NMI-side reduction).
-  kReplay,
   /// Interval arithmetic: lambda, Lemma-1 bias, interval composition.
   kIntervalUpdate,
   /// Waiting for an admission slot before the query could execute.
@@ -56,9 +49,9 @@ enum class Stage : uint8_t {
   kFinalize,
 };
 
-inline constexpr size_t kNumStages = 7;
+inline constexpr size_t kNumStages = 5;
 
-/// Stable lowercase stage name ("gather", "count", "shard-merge", ...).
+/// Stable lowercase stage name ("gather", "count", "interval-update", ...).
 const char* StageName(Stage stage);
 
 /// Raw tick read from the fastest monotonic source the platform has.
@@ -72,8 +65,8 @@ double ProfilerTicksPerMs();
 /// Converts a tick delta to milliseconds.
 double ProfilerTicksToMs(uint64_t ticks);
 
-/// Per-query stage accumulator. Thread-safe: concurrent shard tasks on
-/// pool workers record into relaxed atomic cells. Caller-owned, attached
+/// Per-query stage accumulator. Thread-safe: concurrent candidate updates
+/// on pool workers record into relaxed atomic cells. Caller-owned, attached
 /// to one query via QueryOptions::profiler.
 class StageProfiler {
  public:

@@ -18,10 +18,10 @@
 // Determinism: hashing is seeded double hashing (SplitMix64-finalized),
 // so two sketches with equal shape and seed absorb equal streams into
 // byte-identical counter arrays, and Merge (element-wise sum) is
-// associative and commutative -- any fixed sharding plan is bitwise
-// reproducible run to run. Sharded-and-merged counters are NOT bitwise
-// equal to a serial absorb of the same stream (conservative update is
-// order- and partition-sensitive); both still never undercount
+// associative and commutative -- any fixed split-and-merge plan is
+// bitwise reproducible run to run. Split-and-merged counters are NOT
+// bitwise equal to a serial absorb of the same stream (conservative
+// update is order- and partition-sensitive); both still never undercount
 // (tests/count_min_test.cc mirrors parallel_determinism_test).
 
 #ifndef SWOPE_SKETCH_COUNT_MIN_H_

@@ -102,11 +102,12 @@ Result<Table> AppendRowsToTable(
       }
     }
 
-    // Width-stable appends copy full shards verbatim and pack only the
-    // ragged last shard plus the tail; a support that crossed a
-    // power-of-two boundary repacks the column.
-    ShardedCodes sharded =
-        col.sharded().Append(tail, PackedCodes::WidthForSupport(support));
+    // Width-stable appends copy the payload words verbatim and pack only
+    // the tail; a support that crossed a power-of-two boundary repacks
+    // the column. Either way the result owns its words, so an appended
+    // mapped column does not hold on to the mapping.
+    PackedCodes packed =
+        col.packed().Append(tail, PackedCodes::WidthForSupport(support));
 
     std::shared_ptr<const CountMinSketch> sketch;
     if (col.has_sketch()) {
@@ -118,9 +119,8 @@ Result<Table> AppendRowsToTable(
 
     SWOPE_ASSIGN_OR_RETURN(
         Column column,
-        Column::FromShardedTrusted(col.name(), support, std::move(sharded),
-                                   std::move(labels), std::move(sketch),
-                                   col.backing()));
+        Column::FromPackedTrusted(col.name(), support, std::move(packed),
+                                  std::move(labels), std::move(sketch)));
     columns.push_back(std::move(column));
   }
   return Table::Make(std::move(columns));

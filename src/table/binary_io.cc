@@ -10,7 +10,6 @@
 #include "src/fs/mapped_file.h"
 #include "src/sketch/count_min.h"
 #include "src/table/packed_codes.h"
-#include "src/table/sharded_codes.h"
 
 namespace swope {
 
@@ -149,9 +148,11 @@ Result<Column> ReadColumnV2(std::istream& input, std::string name,
                                 name + "'");
     }
   }
-  std::vector<uint64_t> words;
-  words.reserve(std::min<uint64_t>(num_words, 1 << 17));
   constexpr uint64_t kChunkWords = 1 << 17;
+  std::vector<uint64_t> words;
+  // The extra slot takes the padding word FromWords appends, so a payload
+  // read in one chunk is kept in its first allocation.
+  words.reserve(std::min(num_words, kChunkWords) + 1);
   uint64_t remaining = num_words;
   while (remaining > 0) {
     const uint64_t chunk = std::min(remaining, kChunkWords);
@@ -278,9 +279,7 @@ Status WriteBinaryTable(const Table& table, std::ostream& output,
         WriteString(output, label);
       }
     }
-    // Shards are in-memory only: the wire payload is the contiguous
-    // concatenation, independent of the in-memory geometry.
-    const PackedCodes packed = col.sharded().Flatten();
+    const PackedCodes& packed = col.packed();
     if (options.page_align && packed.num_data_words() > 0) {
       // Pad so the packed words land `alignment`-aligned in the file
       // (offsets are relative to the stream start, which is the file
@@ -655,18 +654,16 @@ Result<Table> ReadBinaryTableFileMapped(const std::string& path) {
                          mapped->ReadableBytes();
     Result<Column> column = [&]() -> Result<Column> {
       if (payload_bytes > 0 && aligned && guarded) {
-        auto sharded = ShardedCodes::BorrowWords(
-            num_rows, width, reinterpret_cast<const uint64_t*>(payload),
-            DefaultShardSize());
-        if (sharded.ok()) {
-          return Column::FromShardedBacked(std::move(name), support,
-                                           std::move(sharded).value(),
-                                           std::move(labels), mapped);
-        }
-        // Borrowing only fails on shard geometry; fall through to the
-        // owned copy.
+        auto borrowed = PackedCodes::BorrowWords(
+            num_rows, width, reinterpret_cast<const uint64_t*>(payload));
+        if (!borrowed.ok()) return borrowed.status();
+        return Column::FromPackedBacked(std::move(name), support,
+                                        std::move(borrowed).value(),
+                                        std::move(labels), mapped);
       }
-      std::vector<uint64_t> words(num_words);
+      std::vector<uint64_t> words;
+      words.reserve(num_words + 1);  // + FromWords' padding word
+      words.resize(num_words);
       if (num_words > 0) std::memcpy(words.data(), payload, payload_bytes);
       auto packed = PackedCodes::FromWords(num_rows, width, std::move(words));
       if (!packed.ok()) return packed.status();

@@ -4,43 +4,14 @@
 
 namespace swope {
 
-Result<Column> Column::Make(std::string name, uint32_t support,
-                            std::vector<ValueCode> codes,
-                            std::vector<std::string> labels) {
-  if (!codes.empty() && support == 0) {
-    return Status::InvalidArgument("column '" + name +
-                                   "': support is 0 but codes are present");
-  }
-  if (!labels.empty() && labels.size() != support) {
-    return Status::InvalidArgument(
-        "column '" + name + "': label count " +
-        std::to_string(labels.size()) + " != support " +
-        std::to_string(support));
-  }
-  for (ValueCode c : codes) {
-    if (c >= support) {
-      return Status::InvalidArgument("column '" + name + "': code " +
-                                     std::to_string(c) + " >= support " +
-                                     std::to_string(support));
-    }
-  }
-  ShardedCodes sharded = ShardedCodes::Pack(
-      codes, PackedCodes::WidthForSupport(support), DefaultShardSize());
-  return Column(std::move(name), support, std::move(sharded),
-                std::move(labels));
-}
+namespace {
 
-Column Column::FromCodes(std::string name, std::vector<ValueCode> codes) {
-  uint32_t support = 0;
-  for (ValueCode c : codes) support = std::max(support, c + 1);
-  ShardedCodes sharded = ShardedCodes::Pack(
-      codes, PackedCodes::WidthForSupport(support), DefaultShardSize());
-  return Column(std::move(name), support, std::move(sharded), {});
-}
-
-Result<Column> Column::FromPacked(std::string name, uint32_t support,
-                                  PackedCodes packed,
-                                  std::vector<std::string> labels) {
+// The invariants every factory checks: codes need a non-zero support, a
+// label dictionary covers exactly the support, and the payload width is
+// canonical for it.
+Status CheckShape(const std::string& name, uint32_t support,
+                  const PackedCodes& packed,
+                  const std::vector<std::string>& labels) {
   if (!packed.empty() && support == 0) {
     return Status::InvalidArgument("column '" + name +
                                    "': support is 0 but codes are present");
@@ -56,8 +27,20 @@ Result<Column> Column::FromPacked(std::string name, uint32_t support,
         "column '" + name + "': width " + std::to_string(packed.width()) +
         " is not canonical for support " + std::to_string(support));
   }
-  // Validate decoded codes chunk by chunk; a packed payload can encode
-  // values in [support, 2^width).
+  return Status::OK();
+}
+
+Status CodeOutOfRange(const std::string& name, ValueCode code,
+                      uint32_t support) {
+  return Status::InvalidArgument("column '" + name + "': code " +
+                                 std::to_string(code) + " >= support " +
+                                 std::to_string(support));
+}
+
+// Validates decoded codes chunk by chunk; an untrusted packed payload can
+// encode values in [support, 2^width).
+Status CheckCodes(const std::string& name, uint32_t support,
+                  const PackedCodes& packed) {
   std::vector<ValueCode> scratch(std::min<uint64_t>(packed.size(), 4096));
   for (uint64_t begin = 0; begin < packed.size();
        begin += scratch.size()) {
@@ -66,22 +49,18 @@ Result<Column> Column::FromPacked(std::string name, uint32_t support,
     packed.Decode(begin, end, scratch.data());
     for (uint64_t i = 0; i < end - begin; ++i) {
       if (scratch[i] >= support) {
-        return Status::InvalidArgument(
-            "column '" + name + "': code " + std::to_string(scratch[i]) +
-            " >= support " + std::to_string(support));
+        return CodeOutOfRange(name, scratch[i], support);
       }
     }
   }
-  return Column(std::move(name), support,
-                ShardedCodes::FromPacked(packed, DefaultShardSize()),
-                std::move(labels));
+  return Status::OK();
 }
 
-Result<Column> Column::FromShardedTrusted(
-    std::string name, uint32_t support, ShardedCodes codes,
-    std::vector<std::string> labels,
-    std::shared_ptr<const CountMinSketch> sketch,
-    std::shared_ptr<const void> backing) {
+}  // namespace
+
+Result<Column> Column::Make(std::string name, uint32_t support,
+                            std::vector<ValueCode> codes,
+                            std::vector<std::string> labels) {
   if (!codes.empty() && support == 0) {
     return Status::InvalidArgument("column '" + name +
                                    "': support is 0 but codes are present");
@@ -92,38 +71,52 @@ Result<Column> Column::FromShardedTrusted(
         std::to_string(labels.size()) + " != support " +
         std::to_string(support));
   }
-  if (codes.width() != PackedCodes::WidthForSupport(support)) {
-    return Status::InvalidArgument(
-        "column '" + name + "': width " + std::to_string(codes.width()) +
-        " is not canonical for support " + std::to_string(support));
+  for (ValueCode c : codes) {
+    if (c >= support) return CodeOutOfRange(name, c, support);
   }
-  Column column(std::move(name), support, std::move(codes),
+  PackedCodes packed =
+      PackedCodes::Pack(codes, PackedCodes::WidthForSupport(support));
+  return Column(std::move(name), support, std::move(packed),
+                std::move(labels));
+}
+
+Column Column::FromCodes(std::string name, std::vector<ValueCode> codes) {
+  uint32_t support = 0;
+  for (ValueCode c : codes) support = std::max(support, c + 1);
+  PackedCodes packed =
+      PackedCodes::Pack(codes, PackedCodes::WidthForSupport(support));
+  return Column(std::move(name), support, std::move(packed), {});
+}
+
+Result<Column> Column::FromPacked(std::string name, uint32_t support,
+                                  PackedCodes packed,
+                                  std::vector<std::string> labels) {
+  SWOPE_RETURN_NOT_OK(CheckShape(name, support, packed, labels));
+  SWOPE_RETURN_NOT_OK(CheckCodes(name, support, packed));
+  return Column(std::move(name), support, std::move(packed),
+                std::move(labels));
+}
+
+Result<Column> Column::FromPackedTrusted(
+    std::string name, uint32_t support, PackedCodes packed,
+    std::vector<std::string> labels,
+    std::shared_ptr<const CountMinSketch> sketch) {
+  SWOPE_RETURN_NOT_OK(CheckShape(name, support, packed, labels));
+  Column column(std::move(name), support, std::move(packed),
                 std::move(labels));
   column.sketch_ = std::move(sketch);
-  column.backing_ = std::move(backing);
   return column;
 }
 
-Result<Column> Column::FromShardedBacked(
-    std::string name, uint32_t support, ShardedCodes codes,
-    std::vector<std::string> labels, std::shared_ptr<const void> backing) {
-  // Same untrusted-payload scan as FromPacked: a packed payload can
-  // encode values in [support, 2^width).
-  std::vector<ValueCode> scratch(std::min<uint64_t>(codes.size(), 4096));
-  for (uint64_t begin = 0; begin < codes.size(); begin += scratch.size()) {
-    const uint64_t end =
-        std::min<uint64_t>(codes.size(), begin + scratch.size());
-    codes.Decode(begin, end, scratch.data());
-    for (uint64_t i = 0; i < end - begin; ++i) {
-      if (scratch[i] >= support) {
-        return Status::InvalidArgument(
-            "column '" + name + "': code " + std::to_string(scratch[i]) +
-            " >= support " + std::to_string(support));
-      }
-    }
-  }
-  return FromShardedTrusted(std::move(name), support, std::move(codes),
-                            std::move(labels), nullptr, std::move(backing));
+Result<Column> Column::FromPackedBacked(std::string name, uint32_t support,
+                                        PackedCodes packed,
+                                        std::vector<std::string> labels,
+                                        std::shared_ptr<const void> backing) {
+  SWOPE_ASSIGN_OR_RETURN(Column column,
+                         FromPacked(std::move(name), support,
+                                    std::move(packed), std::move(labels)));
+  column.backing_ = std::move(backing);
+  return column;
 }
 
 uint64_t Column::MemoryBytes() const {

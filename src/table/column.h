@@ -5,11 +5,10 @@
 // [0, u) bit-packed at ceil(log2(u)) bits per value (src/table/
 // packed_codes.h), plus an optional dictionary of original string labels
 // -- the preprocessing made concrete, at the memory footprint the
-// paper's columnar-storage argument assumes. Storage is sharded into
-// fixed-size row ranges (src/table/sharded_codes.h; docs/SHARDING.md)
-// so paper-scale columns decompose into independently decodable units.
-// Hot paths batch-decode through ColumnView (src/table/column_view.h);
-// see docs/STORAGE.md.
+// paper's columnar-storage argument assumes. The payload is one
+// contiguous PackedCodes, the same layout the SWPB format stores. Hot
+// paths batch-decode through ColumnView (src/table/column_view.h); see
+// docs/STORAGE.md.
 
 #ifndef SWOPE_TABLE_COLUMN_H_
 #define SWOPE_TABLE_COLUMN_H_
@@ -24,7 +23,6 @@
 #include "src/common/status.h"
 #include "src/sketch/count_min.h"
 #include "src/table/packed_codes.h"
-#include "src/table/sharded_codes.h"
 
 namespace swope {
 
@@ -45,9 +43,7 @@ class Column {
 
   /// Factory over an already-packed contiguous payload (binary format
   /// v2). Requires the canonical width for `support`, validates every
-  /// decoded code against it, and splits the payload into shards of the
-  /// process default size (the wire format stays contiguous; sharding is
-  /// in-memory only).
+  /// decoded code against it, and then takes the payload as is.
   static Result<Column> FromPacked(std::string name, uint32_t support,
                                    PackedCodes packed,
                                    std::vector<std::string> labels = {});
@@ -58,21 +54,19 @@ class Column {
   /// when first constructed, and the caller encoded the tail itself.
   /// Also attaches an optional sketch sidecar without the extra copy
   /// WithSketch would make.
-  static Result<Column> FromShardedTrusted(
-      std::string name, uint32_t support, ShardedCodes codes,
+  static Result<Column> FromPackedTrusted(
+      std::string name, uint32_t support, PackedCodes packed,
       std::vector<std::string> labels,
-      std::shared_ptr<const CountMinSketch> sketch,
-      std::shared_ptr<const void> backing = nullptr);
+      std::shared_ptr<const CountMinSketch> sketch);
 
   /// Factory for the mmap load path: same per-code validation scan as
-  /// FromPacked, over borrowed sharded storage whose payload lives in an
-  /// externally owned region. `backing` (typically the MappedFile) is
-  /// held for the life of the column -- and of any column derived from
-  /// it by width-stable appends, which share full shards verbatim.
-  static Result<Column> FromShardedBacked(std::string name, uint32_t support,
-                                          ShardedCodes codes,
-                                          std::vector<std::string> labels,
-                                          std::shared_ptr<const void> backing);
+  /// FromPacked, over a borrowed payload (PackedCodes::BorrowWords) that
+  /// lives in an externally owned region. `backing` (typically the
+  /// MappedFile) is held for the life of the column.
+  static Result<Column> FromPackedBacked(std::string name, uint32_t support,
+                                         PackedCodes packed,
+                                         std::vector<std::string> labels,
+                                         std::shared_ptr<const void> backing);
 
   Column() = default;
 
@@ -93,16 +87,8 @@ class Column {
   /// only; tools/lint.py bans it outside src/table/ and tests.
   std::vector<ValueCode> codes() const { return codes_.ToVector(); }
 
-  /// The sharded bit-packed payload (ColumnView and binary_io use this).
-  const ShardedCodes& sharded() const { return codes_; }
-
-  /// A copy of this column with the same values split at `shard_size`
-  /// rows per shard (registry/CLI geometry overrides).
-  Column Resharded(uint64_t shard_size) const {
-    Column copy = *this;
-    copy.codes_ = codes_.Resharded(shard_size);
-    return copy;
-  }
+  /// The bit-packed payload (ColumnView and binary_io use this).
+  const PackedCodes& packed() const { return codes_; }
 
   /// Exact resident heap bytes: owned packed payload plus the label
   /// dictionary (per-string object plus character payload) plus the
@@ -115,7 +101,7 @@ class Column {
   uint64_t MappedBytes() const { return codes_.MappedBytes(); }
 
   /// The opaque keep-alive for borrowed storage (the MappedFile on the
-  /// mmap load path); null when every shard owns its words.
+  /// mmap load path); null when the column owns its words.
   const std::shared_ptr<const void>& backing() const { return backing_; }
 
   /// True when the column retains original value labels.
@@ -153,7 +139,7 @@ class Column {
   }
 
  private:
-  Column(std::string name, uint32_t support, ShardedCodes codes,
+  Column(std::string name, uint32_t support, PackedCodes codes,
          std::vector<std::string> labels)
       : name_(std::move(name)),
         support_(support),
@@ -162,10 +148,10 @@ class Column {
 
   std::string name_;
   uint32_t support_ = 0;
-  ShardedCodes codes_;
+  PackedCodes codes_;
   std::vector<std::string> labels_;
   std::shared_ptr<const CountMinSketch> sketch_;
-  /// Keeps the region borrowed shards point into alive (mmap path).
+  /// Keeps the region a borrowed payload points into alive (mmap path).
   std::shared_ptr<const void> backing_;
 };
 

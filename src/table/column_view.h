@@ -11,13 +11,9 @@
 // This splits decode from counting: the width-specialized decode kernel
 // (src/table/packed_codes.h) and the count loop each stay branch-free,
 // and the scratch buffer is reusable across rounds so steady-state
-// queries allocate nothing. Storage is sharded (src/table/
-// sharded_codes.h): shard-parallel kernels address one shard at a time
-// through GatherShard with shard-local rows, while Gather/Decode span
-// the whole column for order-preserving paths. tools/lint.py bans raw
-// `.codes()` / per-row `.code(row)` access outside src/table/ and tests
-// to keep this the only hot-path route. The full contract lives in
-// docs/STORAGE.md and docs/SHARDING.md.
+// queries allocate nothing. tools/lint.py bans raw `.codes()` / per-row
+// `.code(row)` access outside src/table/ and tests to keep this the only
+// hot-path route. The full contract lives in docs/STORAGE.md.
 
 #ifndef SWOPE_TABLE_COLUMN_VIEW_H_
 #define SWOPE_TABLE_COLUMN_VIEW_H_
@@ -34,19 +30,17 @@ class ColumnView {
  public:
   ColumnView() = default;
   explicit ColumnView(const Column& column)
-      : codes_(&column.sharded()), support_(column.support()) {}
+      : codes_(&column.packed()), support_(column.support()) {}
 
   uint64_t size() const { return codes_->size(); }
   uint32_t support() const { return support_; }
   uint32_t width() const { return codes_->width(); }
-  size_t num_shards() const { return codes_->num_shards(); }
-  uint64_t shard_size() const { return codes_->shard_size(); }
 
-  /// Decodes the values at global rows order[begin..end) (a permutation
+  /// Decodes the values at rows order[begin..end) (a permutation
   /// slice) into `scratch`, growing it as needed, and returns the decoded
   /// span's base pointer. The span is valid until the next call with the
-  /// same scratch buffer. Preserves the slice order across shards (the
-  /// sketch path's conservative-update counting depends on it).
+  /// same scratch buffer. Preserves the slice order (the sketch path's
+  /// conservative-update counting depends on it).
   /// `Buffer` is any contiguous resizable ValueCode container --
   /// std::vector for pooled scratch, std::pmr::vector for arena-backed
   /// per-query slices.
@@ -57,18 +51,6 @@ class ColumnView {
     const uint64_t count = end - begin;
     if (scratch.size() < count) scratch.resize(count);
     codes_->Gather(order.data() + begin, count, scratch.data());
-    return scratch.data();
-  }
-
-  /// Decodes the values at the `count` shard-local rows of shard `shard`
-  /// into `scratch` and returns the decoded span's base pointer. The
-  /// shard-parallel hot path: one width-specialized batch kernel per
-  /// shard, no cross-shard addressing in the inner loop.
-  template <typename Buffer>
-  const ValueCode* GatherShard(size_t shard, const uint32_t* local_rows,
-                               uint64_t count, Buffer& scratch) const {
-    if (scratch.size() < count) scratch.resize(count);
-    codes_->shard(shard).Gather(local_rows, count, scratch.data());
     return scratch.data();
   }
 
@@ -85,7 +67,7 @@ class ColumnView {
   }
 
  private:
-  const ShardedCodes* codes_ = nullptr;
+  const PackedCodes* codes_ = nullptr;
   uint32_t support_ = 0;
 };
 

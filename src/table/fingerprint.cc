@@ -53,7 +53,7 @@ uint64_t TableFingerprint(const Table& table) {
     scratch.resize(std::min<uint64_t>(rows, 4096));
     for (uint64_t begin = 0; begin < rows; begin += scratch.size()) {
       const uint64_t end = std::min<uint64_t>(rows, begin + scratch.size());
-      column.sharded().Decode(begin, end, scratch.data());
+      column.packed().Decode(begin, end, scratch.data());
       for (uint64_t i = 0; i < end - begin; ++i) {
         hasher.Add(static_cast<uint64_t>(scratch[i]));
       }

@@ -30,7 +30,7 @@ Result<CountMinSketch> BuildColumnSketch(const Column& column,
   SWOPE_ASSIGN_OR_RETURN(
       CountMinSketch sketch,
       CountMinSketch::Make(epsilon, delta, ColumnSeed(seed, column.name())));
-  const ShardedCodes& codes = column.sharded();
+  const PackedCodes& codes = column.packed();
   std::vector<ValueCode> scratch(std::min<uint64_t>(codes.size(), 4096));
   for (uint64_t begin = 0; begin < codes.size(); begin += scratch.size()) {
     const uint64_t end =

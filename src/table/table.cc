@@ -25,13 +25,6 @@ Result<Table> Table::Make(std::vector<Column> columns) {
           std::to_string(col.size()) + " rows, expected " +
           std::to_string(columns.front().size()));
     }
-    if (col.sharded().shard_size() !=
-        columns.front().sharded().shard_size()) {
-      return Status::InvalidArgument(
-          "table: column '" + col.name() + "' has shard size " +
-          std::to_string(col.sharded().shard_size()) + ", expected " +
-          std::to_string(columns.front().sharded().shard_size()));
-    }
   }
   return Table(std::move(columns));
 }
@@ -56,23 +49,6 @@ uint32_t Table::MaxSupport() const {
     max_support = std::max(max_support, col.support());
   }
   return max_support;
-}
-
-uint64_t Table::shard_size() const {
-  return columns_.empty() ? 0 : columns_.front().sharded().shard_size();
-}
-
-size_t Table::num_shards() const {
-  return columns_.empty() ? 0 : columns_.front().sharded().num_shards();
-}
-
-Table Table::Resharded(uint64_t shard_size) const {
-  std::vector<Column> resharded;
-  resharded.reserve(columns_.size());
-  for (const Column& col : columns_) {
-    resharded.push_back(col.Resharded(shard_size));
-  }
-  return Table(std::move(resharded));
 }
 
 uint64_t Table::MemoryBytes() const {
@@ -119,7 +95,7 @@ Result<Table> Table::PermuteRows(const std::vector<uint32_t>& perm) const {
   for (const Column& col : columns_) {
     // One batch gather per column: decode col[perm[r]] for every row.
     std::vector<ValueCode> codes(col.size());
-    col.sharded().Gather(perm.data(), perm.size(), codes.data());
+    col.packed().Gather(perm.data(), perm.size(), codes.data());
     std::vector<std::string> labels = col.labels();
     auto made =
         Column::Make(col.name(), col.support(), std::move(codes), labels);

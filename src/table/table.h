@@ -42,18 +42,6 @@ class Table {
   /// table). Used by the M0 policy.
   uint32_t MaxSupport() const;
 
-  /// Rows per shard of the in-memory decomposition (every column shares
-  /// one geometry; Make enforces it). 0 for a table with no columns.
-  uint64_t shard_size() const;
-
-  /// Number of row shards (ceil(num_rows / shard_size); 0 when empty).
-  size_t num_shards() const;
-
-  /// The same table re-split at `shard_size` rows per shard (registry /
-  /// CLI geometry overrides). Values, labels, and sketches are shared or
-  /// repacked as needed; the wire format is unaffected.
-  Table Resharded(uint64_t shard_size) const;
-
   /// Exact resident heap bytes across all columns (owned bit-packed
   /// payloads plus label dictionaries; accounting rules in
   /// docs/STORAGE.md). The engine's DatasetRegistry budgets and reports

@@ -78,8 +78,8 @@ TEST(ColumnTest, StoresCodesBitPacked) {
   }
   auto column = Column::Make("p", 3, codes);
   ASSERT_TRUE(column.ok());
-  EXPECT_EQ(column->sharded().width(), 2u);
-  EXPECT_EQ(column->sharded().Flatten().num_data_words(), 4u);
+  EXPECT_EQ(column->packed().width(), 2u);
+  EXPECT_EQ(column->packed().num_data_words(), 4u);
   EXPECT_LT(column->MemoryBytes(), 100 * sizeof(ValueCode));
   EXPECT_EQ(column->codes(), codes);
 }
@@ -87,8 +87,8 @@ TEST(ColumnTest, StoresCodesBitPacked) {
 TEST(ColumnTest, ConstantColumnPacksToWidthZero) {
   auto column = Column::Make("c", 1, std::vector<ValueCode>(5000, 0));
   ASSERT_TRUE(column.ok());
-  EXPECT_EQ(column->sharded().width(), 0u);
-  EXPECT_EQ(column->sharded().Flatten().num_data_words(), 0u);
+  EXPECT_EQ(column->packed().width(), 0u);
+  EXPECT_EQ(column->packed().num_data_words(), 0u);
   EXPECT_EQ(column->code(4999), 0u);
 }
 

@@ -38,7 +38,7 @@ TEST(EventLogTest, CapacityRoundsUpToPowerOfTwo) {
 
 TEST(EventLogTest, AppendSnapshotRoundTrip) {
   EventLog log(16);
-  log.Append(EventKind::kDatasetLoad, "cdc", "rows=100 shards=4");
+  log.Append(EventKind::kDatasetLoad, "cdc", "rows=100");
   log.Append(EventKind::kQueryComplete, "cdc", "entropy-topk rounds=3",
              1.25);
   EXPECT_EQ(log.TotalAppended(), 2u);
@@ -48,7 +48,7 @@ TEST(EventLogTest, AppendSnapshotRoundTrip) {
   EXPECT_EQ(events[0].sequence, 0u);
   EXPECT_EQ(events[0].kind, EventKind::kDatasetLoad);
   EXPECT_EQ(events[0].dataset, "cdc");
-  EXPECT_EQ(events[0].detail, "rows=100 shards=4");
+  EXPECT_EQ(events[0].detail, "rows=100");
   EXPECT_DOUBLE_EQ(events[0].wall_ms, 0.0);
   EXPECT_EQ(events[1].sequence, 1u);
   EXPECT_EQ(events[1].kind, EventKind::kQueryComplete);

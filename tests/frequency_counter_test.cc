@@ -98,19 +98,5 @@ TEST(FrequencyCounterTest, FullPrefixEqualsExactEntropy) {
   EXPECT_NEAR(counter.SampleEntropy(), ExactEntropy(*column), 1e-9);
 }
 
-TEST(FrequencyCounterTest, ResetForgets) {
-  FrequencyCounter counter(3);
-  counter.Add(1);
-  counter.Add(2);
-  counter.Reset();
-  EXPECT_EQ(counter.sample_count(), 0u);
-  EXPECT_EQ(counter.count(1), 0u);
-  EXPECT_EQ(counter.distinct_seen(), 0u);
-  EXPECT_EQ(counter.SampleEntropy(), 0.0);
-  counter.Add(0);
-  counter.Add(1);
-  EXPECT_NEAR(counter.SampleEntropy(), 1.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace swope

@@ -1,8 +1,9 @@
 // Golden determinism regression for the unified driver's parallel path:
 // for a fixed seed, running with QueryOptions::pool set (N worker
-// threads) must produce results byte-identical to the serial path across
-// all six query kinds — same items (bitwise-equal doubles), same stats.
-// The argument for why this holds by construction is in docs/CORE.md.
+// threads, either scheduling mode) must produce results byte-identical to
+// the serial path across all six query kinds and on sketch-backed
+// candidates — same items (bitwise-equal doubles), same stats. The
+// argument for why this holds by construction is in docs/CORE.md.
 
 #include <span>
 #include <vector>
@@ -11,12 +12,13 @@
 
 #include "src/common/thread_pool.h"
 #include "src/core/swope_filter_entropy.h"
-#include "src/obs/query_trace.h"
 #include "src/core/swope_filter_mi.h"
 #include "src/core/swope_filter_nmi.h"
 #include "src/core/swope_topk_entropy.h"
 #include "src/core/swope_topk_mi.h"
 #include "src/core/swope_topk_nmi.h"
+#include "src/datagen/generator.h"
+#include "src/obs/query_trace.h"
 #include "tests/test_util.h"
 
 namespace swope {
@@ -43,6 +45,7 @@ void ExpectIdentical(const QueryStats& serial, const QueryStats& parallel) {
   EXPECT_EQ(serial.cells_scanned, parallel.cells_scanned);
   EXPECT_EQ(serial.candidates_remaining, parallel.candidates_remaining);
   EXPECT_EQ(serial.exhausted_dataset, parallel.exhausted_dataset);
+  EXPECT_EQ(serial.sketch_candidates, parallel.sketch_candidates);
 }
 
 // Every trace field except wall time is a pure function of (dataset,
@@ -193,16 +196,9 @@ TEST_F(ParallelDeterminismTest, MiTopKTraceIsDeterministic) {
             FormatTraceTable(parallel_trace, /*include_wall_time=*/false));
 }
 
-// Shard-count invariance: resharding a table changes only how the round
-// slice is partitioned into (candidate x shard) tasks; answers must stay
-// byte-identical to the unsharded serial baseline at every shard count
-// and thread count, in both pool modes (docs/SHARDING.md).
-TEST_F(ParallelDeterminismTest, ShardCountInvariance) {
-  // 4000 rows: shard sizes 4000 / 1000 / 572 give 1 / 4 / 7 shards (the
-  // last ragged at 568 rows).
-  const uint64_t kShardSizes[] = {4000, 1000, 572};
-  const size_t kExpectedShards[] = {1, 4, 7};
-
+// Pool-mode and thread-count invariance: the serial baseline, and 2- and
+// 4-thread pools in both scheduling modes, give byte-identical answers.
+TEST_F(ParallelDeterminismTest, PoolModesAndThreadCountsAgree) {
   auto entropy_baseline = SwopeTopKEntropy(entropy_table_, 3, Serial());
   auto mi_baseline = SwopeTopKMi(mi_table_, 0, 3, Serial());
   auto nmi_baseline = SwopeFilterNmi(mi_table_, 0, 0.2, Serial());
@@ -210,36 +206,89 @@ TEST_F(ParallelDeterminismTest, ShardCountInvariance) {
   ASSERT_TRUE(mi_baseline.ok());
   ASSERT_TRUE(nmi_baseline.ok());
 
-  ThreadPool single_queue(4, PoolMode::kSingleQueue);
-  ThreadPool* pools[] = {nullptr, &pool_, &single_queue};
-
-  for (size_t i = 0; i < 3; ++i) {
-    const Table entropy_sharded = entropy_table_.Resharded(kShardSizes[i]);
-    const Table mi_sharded = mi_table_.Resharded(kShardSizes[i]);
-    ASSERT_EQ(entropy_sharded.num_shards(), kExpectedShards[i]);
-    for (ThreadPool* pool : pools) {
-      SCOPED_TRACE(testing::Message()
-                   << "shards=" << kExpectedShards[i] << " pool="
-                   << (pool == nullptr ? "serial"
-                                       : PoolModeName(pool->mode())));
+  for (size_t threads : {2, 4}) {
+    for (PoolMode mode : {PoolMode::kWorkStealing, PoolMode::kSingleQueue}) {
+      ThreadPool pool(threads, mode);
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " pool=" << PoolModeName(mode));
       QueryOptions options = Serial();
-      options.pool = pool;
+      options.pool = &pool;
 
-      auto entropy = SwopeTopKEntropy(entropy_sharded, 3, options);
+      auto entropy = SwopeTopKEntropy(entropy_table_, 3, options);
       ASSERT_TRUE(entropy.ok());
       ExpectIdentical(entropy_baseline->items, entropy->items);
       ExpectIdentical(entropy_baseline->stats, entropy->stats);
 
-      auto mi = SwopeTopKMi(mi_sharded, 0, 3, options);
+      auto mi = SwopeTopKMi(mi_table_, 0, 3, options);
       ASSERT_TRUE(mi.ok());
       ExpectIdentical(mi_baseline->items, mi->items);
       ExpectIdentical(mi_baseline->stats, mi->stats);
 
-      auto nmi = SwopeFilterNmi(mi_sharded, 0, 0.2, options);
+      auto nmi = SwopeFilterNmi(mi_table_, 0, 0.2, options);
       ASSERT_TRUE(nmi.ok());
       ExpectIdentical(nmi_baseline->items, nmi->items);
       ExpectIdentical(nmi_baseline->stats, nmi->stats);
     }
+  }
+}
+
+// Sketch-backed candidates under an intra-query pool: a table mixing
+// columns above sketch_threshold (count-min path) with exact columns
+// answers bitwise-identically serially and at 4 threads in both pool
+// modes. The sketch path's conservative-update counting is order-
+// sensitive, so this pins that each candidate still absorbs its slice in
+// permutation order on the pool.
+TEST_F(ParallelDeterminismTest, SketchCandidatesAgreeAcrossPools) {
+  const uint64_t rows = 6000;
+  const Table exact = test::MakeEntropyTable({1.0, 2.5, 4.0}, rows, 31);
+  std::vector<Column> columns = exact.columns();
+  // Zipf columns: a heavy head and a long tail for the sketches to absorb.
+  for (const ColumnSpec& spec : {ColumnSpec::Zipf("hc0", 3000, 1.0),
+                                 ColumnSpec::Zipf("hc1", 1500, 1.0)}) {
+    auto column = GenerateColumn(spec, rows, 32 + columns.size());
+    ASSERT_TRUE(column.ok()) << column.status().ToString();
+    columns.push_back(std::move(column).value());
+  }
+  auto made = Table::Make(std::move(columns));
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  const Table table = std::move(made).value();
+
+  QueryOptions serial = Serial();
+  serial.sketch_epsilon = 0.01;  // sketch_threshold stays 1000
+
+  auto entropy_topk = SwopeTopKEntropy(table, 2, serial);
+  auto entropy_filter = SwopeFilterEntropy(table, 3.0, serial);
+  QueryOptions mi_serial = serial;
+  mi_serial.epsilon = 0.5;
+  auto mi_topk = SwopeTopKMi(table, 0, 2, mi_serial);
+  ASSERT_TRUE(entropy_topk.ok()) << entropy_topk.status().ToString();
+  ASSERT_TRUE(entropy_filter.ok()) << entropy_filter.status().ToString();
+  ASSERT_TRUE(mi_topk.ok()) << mi_topk.status().ToString();
+  EXPECT_EQ(entropy_topk->stats.sketch_candidates, 2u);
+  EXPECT_EQ(mi_topk->stats.sketch_candidates, 2u);
+
+  for (PoolMode mode : {PoolMode::kWorkStealing, PoolMode::kSingleQueue}) {
+    ThreadPool pool(4, mode);
+    SCOPED_TRACE(PoolModeName(mode));
+    QueryOptions options = serial;
+    options.pool = &pool;
+    QueryOptions mi_options = mi_serial;
+    mi_options.pool = &pool;
+
+    auto topk = SwopeTopKEntropy(table, 2, options);
+    ASSERT_TRUE(topk.ok());
+    ExpectIdentical(entropy_topk->items, topk->items);
+    ExpectIdentical(entropy_topk->stats, topk->stats);
+
+    auto filter = SwopeFilterEntropy(table, 3.0, options);
+    ASSERT_TRUE(filter.ok());
+    ExpectIdentical(entropy_filter->items, filter->items);
+    ExpectIdentical(entropy_filter->stats, filter->stats);
+
+    auto mi = SwopeTopKMi(table, 0, 2, mi_options);
+    ASSERT_TRUE(mi.ok());
+    ExpectIdentical(mi_topk->items, mi->items);
+    ExpectIdentical(mi_topk->stats, mi->stats);
   }
 }
 

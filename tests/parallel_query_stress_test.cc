@@ -1,9 +1,9 @@
-// Stress for the sharded execution path: many concurrent queries, each
-// fanning (candidate x shard) tasks onto the shared intra-query pool, in
+// Stress for the intra-query parallel path: many concurrent queries, each
+// fanning its per-candidate updates onto the shared intra-query pool, in
 // both scheduling modes. Must stay clean under TSan
-// (SWOPE_SANITIZE=thread) and, per docs/SHARDING.md, every racing copy
-// of a spec must produce bitwise-identical answers -- in both modes and
-// at every shard geometry.
+// (SWOPE_SANITIZE=thread) and, per docs/CORE.md, every racing copy of a
+// spec must produce bitwise-identical answers -- in both modes, and equal
+// to a serial engine's answers.
 
 #include <future>
 #include <memory_resource>
@@ -23,10 +23,16 @@ namespace {
 using test::MakeEntropyTable;
 using test::MakeMiTable;
 
-QuerySpec MakeSpec(const std::string& dataset, QueryKind kind,
-                   uint64_t seed) {
+constexpr QueryKind kKinds[] = {QueryKind::kEntropyTopK,
+                                QueryKind::kEntropyFilter,
+                                QueryKind::kMiTopK,
+                                QueryKind::kMiFilter,
+                                QueryKind::kNmiTopK,
+                                QueryKind::kNmiFilter};
+
+QuerySpec MakeSpec(QueryKind kind, uint64_t seed) {
   QuerySpec spec;
-  spec.dataset = dataset;
+  spec.dataset = NeedsTarget(kind) ? "mi" : "ent";
   spec.kind = kind;
   spec.options.seed = seed;
   if (IsTopKKind(kind)) {
@@ -36,6 +42,15 @@ QuerySpec MakeSpec(const std::string& dataset, QueryKind kind,
   }
   if (NeedsTarget(kind)) spec.target = "t";
   return spec;
+}
+
+void RegisterTables(QueryEngine& engine) {
+  ASSERT_TRUE(
+      engine.RegisterDataset("ent", MakeEntropyTable({5.0, 3.0, 1.0}, 3000, 1))
+          .ok());
+  ASSERT_TRUE(
+      engine.RegisterDataset("mi", MakeMiTable({0.2, 0.7, 0.5}, 3000, 2))
+          .ok());
 }
 
 void ExpectIdenticalItems(std::span<const AttributeScore> expected,
@@ -50,39 +65,25 @@ void ExpectIdenticalItems(std::span<const AttributeScore> expected,
 }
 
 // Runs a burst of 4 racing copies of each of the six query kinds on an
-// engine whose datasets are split into ~6 shards, and returns one
+// engine with a 4-thread intra-query pool, and returns one
 // representative answer per kind after asserting all copies agree
 // bitwise. Caching is disabled so every copy truly executes and races
-// the others for shard tasks on the shared pool.
+// the others for candidate tasks on the shared pool.
 std::vector<std::pmr::vector<AttributeScore>> RunBurst(PoolMode mode) {
   EngineConfig config;
   config.num_threads = 6;
   config.intra_query_threads = 4;
   config.pool_mode = mode;
-  config.shard_size = 512;  // 3000 rows -> 6 shards, last one ragged
   config.max_in_flight = 4;
-  config.max_in_flight_tasks = 12;  // task-weighted admission in play
   config.result_cache_capacity = 0;
   QueryEngine engine(config);
-  EXPECT_TRUE(
-      engine.RegisterDataset("ent", MakeEntropyTable({5.0, 3.0, 1.0}, 3000, 1))
-          .ok());
-  EXPECT_TRUE(
-      engine.RegisterDataset("mi", MakeMiTable({0.2, 0.7, 0.5}, 3000, 2))
-          .ok());
+  RegisterTables(engine);
 
-  const QueryKind kinds[] = {QueryKind::kEntropyTopK,
-                             QueryKind::kEntropyFilter,
-                             QueryKind::kMiTopK,
-                             QueryKind::kMiFilter,
-                             QueryKind::kNmiTopK,
-                             QueryKind::kNmiFilter};
   constexpr int kCopies = 4;
   std::vector<std::future<Result<QueryResponse>>> futures;
   for (int copy = 0; copy < kCopies; ++copy) {
-    for (QueryKind kind : kinds) {
-      const std::string dataset = NeedsTarget(kind) ? "mi" : "ent";
-      futures.push_back(engine.Submit(MakeSpec(dataset, kind, 7)));
+    for (QueryKind kind : kKinds) {
+      futures.push_back(engine.Submit(MakeSpec(kind, 7)));
     }
   }
 
@@ -107,45 +108,24 @@ std::vector<std::pmr::vector<AttributeScore>> RunBurst(PoolMode mode) {
 }
 
 // The burst is clean and internally consistent in both scheduling
-// modes, and the two modes agree with each other bitwise: scheduling is
-// invisible in the answers.
-TEST(ShardTaskStressTest, ConcurrentShardedQueriesBothPoolModes) {
+// modes, and the two modes agree with each other and with a serial
+// engine bitwise: scheduling is invisible in the answers.
+TEST(ParallelQueryStressTest, ConcurrentQueriesBothPoolModesMatchSerial) {
   const auto stealing = RunBurst(PoolMode::kWorkStealing);
   const auto single_queue = RunBurst(PoolMode::kSingleQueue);
   ASSERT_EQ(stealing.size(), single_queue.size());
   for (size_t kind = 0; kind < stealing.size(); ++kind) {
     ExpectIdenticalItems(stealing[kind], single_queue[kind]);
   }
-}
-
-// Shard geometry is invisible too: the same racing burst over 1-shard
-// tables produces the same answers as the 6-shard run.
-TEST(ShardTaskStressTest, ShardGeometryDoesNotLeakIntoAnswers) {
-  const auto sharded = RunBurst(PoolMode::kWorkStealing);
 
   EngineConfig config;
-  config.num_threads = 6;
-  config.intra_query_threads = 4;
-  config.shard_size = 0;  // keep the tables' native single-shard layout
-  config.result_cache_capacity = 0;
-  QueryEngine engine(config);
-  ASSERT_TRUE(
-      engine.RegisterDataset("ent", MakeEntropyTable({5.0, 3.0, 1.0}, 3000, 1))
-          .ok());
-  ASSERT_TRUE(
-      engine.RegisterDataset("mi", MakeMiTable({0.2, 0.7, 0.5}, 3000, 2))
-          .ok());
-  const QueryKind kinds[] = {QueryKind::kEntropyTopK,
-                             QueryKind::kEntropyFilter,
-                             QueryKind::kMiTopK,
-                             QueryKind::kMiFilter,
-                             QueryKind::kNmiTopK,
-                             QueryKind::kNmiFilter};
+  config.result_cache_capacity = 0;  // intra_query_threads = 1: serial
+  QueryEngine serial(config);
+  RegisterTables(serial);
   for (size_t i = 0; i < 6; ++i) {
-    const std::string dataset = NeedsTarget(kinds[i]) ? "mi" : "ent";
-    auto response = engine.Run(MakeSpec(dataset, kinds[i], 7));
+    auto response = serial.Run(MakeSpec(kKinds[i], 7));
     ASSERT_TRUE(response.ok()) << response.status().ToString();
-    ExpectIdenticalItems(sharded[i], response->items);
+    ExpectIdenticalItems(stealing[i], response->items);
   }
 }
 

@@ -26,8 +26,6 @@ void SpinFor(double ms) {
 TEST(ProfilerTest, StageNamesAreStable) {
   EXPECT_STREQ(StageName(Stage::kGather), "gather");
   EXPECT_STREQ(StageName(Stage::kCount), "count");
-  EXPECT_STREQ(StageName(Stage::kShardMerge), "shard-merge");
-  EXPECT_STREQ(StageName(Stage::kReplay), "replay");
   EXPECT_STREQ(StageName(Stage::kIntervalUpdate), "interval-update");
   EXPECT_STREQ(StageName(Stage::kSchedulingWait), "scheduling-wait");
   EXPECT_STREQ(StageName(Stage::kFinalize), "finalize");
@@ -73,9 +71,9 @@ TEST(ProfilerTest, AddAccumulatesTicksAndCalls) {
   StageProfiler profiler;
   profiler.Add(Stage::kCount, 100);
   profiler.Add(Stage::kCount, 250);
-  profiler.Add(Stage::kReplay, 50);
+  profiler.Add(Stage::kIntervalUpdate, 50);
   EXPECT_EQ(profiler.StageCalls(Stage::kCount), 2u);
-  EXPECT_EQ(profiler.StageCalls(Stage::kReplay), 1u);
+  EXPECT_EQ(profiler.StageCalls(Stage::kIntervalUpdate), 1u);
   EXPECT_DOUBLE_EQ(profiler.StageMs(Stage::kCount), ProfilerTicksToMs(350));
   EXPECT_DOUBLE_EQ(profiler.StageSumMs(), ProfilerTicksToMs(400));
 }
@@ -126,7 +124,7 @@ TEST(ProfilerTest, FormatTableListsOnlyRecordedStages) {
   EXPECT_NE(table.find("finalize"), std::string::npos) << table;
   EXPECT_NE(table.find("stage-sum"), std::string::npos) << table;
   EXPECT_NE(table.find("wall"), std::string::npos) << table;
-  EXPECT_EQ(table.find("replay"), std::string::npos) << table;
+  EXPECT_EQ(table.find("interval-update"), std::string::npos) << table;
   EXPECT_EQ(table.find("scheduling-wait"), std::string::npos) << table;
 }
 

@@ -350,9 +350,9 @@ TEST(PrometheusValidatorTest, RejectsMalformedExposition) {
 }
 
 TEST(PrometheusValidatorTest, LiveEngineMetricsAreValid) {
-  // Exercise the full engine metric surface -- query latencies, fine
-  // shard-task buckets, pool telemetry, utilization gauges -- and run the
-  // validator over the same text `serve metrics` would emit.
+  // Exercise the full engine metric surface -- query latencies, pool
+  // telemetry, utilization gauges -- and run the validator over the same
+  // text `serve metrics` would emit.
   EngineConfig config;
   config.intra_query_threads = 2;
   config.slow_query_ms = 1e-6;  // capture everything as slow
@@ -377,10 +377,7 @@ TEST(PrometheusValidatorTest, LiveEngineMetricsAreValid) {
   EXPECT_TRUE(errors.empty()) << errors.front() << " ("
                               << errors.size() << " total)";
 
-  // The fine shard-task buckets (satellite of this PR) and the worker
-  // utilization gauges must be part of the exposition.
-  EXPECT_NE(text.find("swope_engine_shard_task_ms_bucket{le=\"0.001\"}"),
-            std::string::npos);
+  // The worker utilization gauges must be part of the exposition.
   EXPECT_NE(
       text.find("swope_pool_utilization_percent{pool=\"executor\"}"),
       std::string::npos);

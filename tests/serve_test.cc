@@ -114,9 +114,8 @@ TEST(ServeTest, StatsReflectTraffic) {
   EXPECT_EQ(stats.rfind("{\"ok\":true,\"op\":\"stats\"", 0), 0u) << stats;
   EXPECT_NE(stats.find("\"queries_ok\":1"), std::string::npos);
   EXPECT_NE(stats.find("\"resident_datasets\":1"), std::string::npos);
-  // Execution geometry (docs/SHARDING.md): scheduler mode, intra-query
-  // width, and the sharding/admission counters are part of the stats
-  // surface.
+  // Execution geometry (docs/ENGINE.md): scheduler mode, intra-query
+  // width, and the admission counters are part of the stats surface.
   EXPECT_NE(stats.find("\"pool_mode\":\"stealing\""), std::string::npos);
   EXPECT_NE(stats.find("\"intra_query_threads\":"), std::string::npos);
   EXPECT_NE(stats.find("\"rejected\":0"), std::string::npos);
@@ -210,9 +209,8 @@ TEST(ServeTest, ProfiledQueryCarriesStageBreakdown) {
       << response;
   ASSERT_NE(response.find("\"profile\":{\"stages\":["), std::string::npos)
       << response;
-  // The serial execution path exercises at least gathering, counting,
-  // interval updates, and finalization; scheduling-wait is always timed.
-  // (shard-merge only fires on multi-shard plans, so it is not required.)
+  // The serial execution path exercises gathering, counting, interval
+  // updates, and finalization; scheduling-wait is always timed.
   for (const char* stage :
        {"\"stage\":\"gather\"", "\"stage\":\"count\"",
         "\"stage\":\"interval-update\"", "\"stage\":\"finalize\"",
@@ -267,7 +265,7 @@ TEST(ServeTest, EventsOpReportsLifecycle) {
   for (const char* needle :
        {"\"kind\":\"dataset-load\"", "\"kind\":\"query-admit\"",
         "\"kind\":\"query-complete\"", "\"dataset\":\"ds\"",
-        "\"seq\":0", "\"detail\":\"rows=1000 shards="}) {
+        "\"seq\":0", "\"detail\":\"rows=1000\""}) {
     EXPECT_NE(response.find(needle), std::string::npos)
         << needle << " missing in " << response;
   }
@@ -363,6 +361,37 @@ TEST(ServeTest, MalformedRequestsAreInBandErrors) {
       Handle(engine, "query dataset=ghost kind=entropy-topk k=1");
   EXPECT_NE(response.find("\"code\":\"Not found\""), std::string::npos)
       << response;
+}
+
+// Arguments a lenient parser would reinterpret silently: strtoull wraps
+// a negative k to 2^64-1 and saturates an out-of-range seed, and a flag
+// compared against 1/true reads any other value as false. Each must be
+// an in-band InvalidArgument.
+TEST(ServeTest, OutOfRangeAndNonBooleanArgumentsAreRejected) {
+  QueryEngine engine;
+  ASSERT_TRUE(
+      engine.RegisterDataset("ds", MakeEntropyTable({5.0, 2.0}, 1500, 3))
+          .ok());
+  for (const char* line :
+       {"query dataset=ds kind=entropy-topk k=-1",
+        "query dataset=ds kind=entropy-topk k=1 seed=99999999999999999999",
+        "query dataset=ds kind=entropy-topk k=1 profile=yes",
+        "query dataset=ds kind=entropy-topk k=1 trace=on",
+        "query dataset=ds kind=entropy-topk k=1 sequential=2",
+        "load name=m path=/nonexistent.swpb mmap=2"}) {
+    const std::string response = Handle(engine, line);
+    EXPECT_EQ(response.rfind("{\"ok\":false", 0), 0u) << line;
+    EXPECT_NE(response.find("\"code\":\"Invalid argument\""),
+              std::string::npos)
+        << line << " -> " << response;
+  }
+  // The accepted spellings still parse.
+  for (const char* line :
+       {"query dataset=ds kind=entropy-topk k=1 seed=18446744073709551615",
+        "query dataset=ds kind=entropy-topk k=1 profile=false trace=0",
+        "query dataset=ds kind=entropy-topk k=1 sequential=true"}) {
+    EXPECT_EQ(Handle(engine, line).rfind("{\"ok\":true", 0), 0u) << line;
+  }
 }
 
 TEST(ServeTest, QuitStopsTheLoop) {

@@ -133,7 +133,7 @@ TEST(ThreadPoolStressTest, ParallelForUnderConcurrentSubmitLoad) {
 
 // Both scheduling modes survive the same mixed load: racing external
 // submitters plus nested ParallelFor from pool tasks. This is the
-// stress shape of concurrent engine queries fanning shard tasks.
+// stress shape of concurrent engine queries fanning candidate tasks.
 TEST(ThreadPoolStressTest, BothModesSurviveMixedNestedLoad) {
   for (PoolMode mode : {PoolMode::kWorkStealing, PoolMode::kSingleQueue}) {
     SCOPED_TRACE(PoolModeName(mode));

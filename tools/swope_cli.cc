@@ -67,8 +67,8 @@ commands:
   nmi-topk   approximate normalized-MI top-k --in=FILE --target=COL --k=N [--epsilon=E]
   serve      query engine REPL: line requests on stdin, JSON on stdout
              [--threads=N] [--intra-threads=N] [--max-in-flight=N]
-             [--max-in-flight-tasks=N] [--max-waiters=N] [--shard-size=N]
-             [--pool-mode=stealing|single-queue] [--memory-budget-mb=N]
+             [--max-waiters=N] [--pool-mode=stealing|single-queue]
+             [--memory-budget-mb=N]
              [--result-cache=N] [--timeout-ms=N] [--slow-query-ms=T]
              [--event-log-capacity=N]
              --slow-query-ms captures any executed query slower than T ms
@@ -425,8 +425,6 @@ int CmdInfo(const Flags& flags) {
     std::printf("mapped:  %llu\n",
                 static_cast<unsigned long long>(table->MappedBytes()));
   }
-  std::printf("shards:  %zu x %llu rows\n", table->num_shards(),
-              static_cast<unsigned long long>(table->shard_size()));
   if (table->SketchMemoryBytes() > 0) {
     std::printf("sketch:  %llu\n", static_cast<unsigned long long>(
                                        table->SketchMemoryBytes()));
@@ -542,11 +540,8 @@ int CmdServe(const Flags& flags) {
       static_cast<size_t>(flags.GetUint("intra-threads", 1));
   config.max_in_flight =
       static_cast<size_t>(flags.GetUint("max-in-flight", 8));
-  config.max_in_flight_tasks =
-      static_cast<size_t>(flags.GetUint("max-in-flight-tasks", 0));
   config.max_admission_waiters =
       static_cast<size_t>(flags.GetUint("max-waiters", 0));
-  config.shard_size = flags.GetUint("shard-size", 0);
   const std::string pool_mode = flags.GetString("pool-mode");
   if (!pool_mode.empty() && !ParsePoolMode(pool_mode, &config.pool_mode)) {
     return Fail(Status::InvalidArgument(
