@@ -34,52 +34,77 @@ Column MakeColumn(uint32_t support, uint64_t rows, uint64_t seed) {
   return std::move(column).value();
 }
 
+// The counting kernels are timed the way the scorers call them: AddCodes
+// over a gathered slice of kSliceCodes codes (items = codes), cycling
+// through 2^16 pre-decoded codes.
+constexpr uint64_t kSliceCodes = 4096;
+constexpr uint64_t kCodeMask = (1 << 16) - 1;
+
 void BM_FrequencyCounterAdd(benchmark::State& state) {
-  const Column column = MakeColumn(64, 1 << 16, 1);
   const std::vector<ValueCode> codes =
-      column.codes();  // NOLINT(swope-raw-codes): bench setup decode
+      MakeColumn(64, 1 << 16, 1).codes();  // NOLINT(swope-raw-codes): setup
   FrequencyCounter counter(64);
-  uint64_t i = 0;
+  uint64_t offset = 0;
   for (auto _ : state) {
-    counter.Add(codes[i & 0xffff]);
-    ++i;
+    counter.AddCodes(codes.data() + offset, kSliceCodes);
+    offset = (offset + kSliceCodes) & kCodeMask;
   }
   benchmark::DoNotOptimize(counter.SampleEntropy());
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * kSliceCodes);
 }
 BENCHMARK(BM_FrequencyCounterAdd);
 
-void BM_PairCounterAddDense(benchmark::State& state) {
+// `dense_limit` 1<<20 keeps the 64x64 domain dense from the start; 1
+// keeps it hashed.
+void PairCounterAdd(benchmark::State& state, uint64_t dense_limit) {
   const std::vector<ValueCode> a =
       MakeColumn(64, 1 << 16, 2).codes();  // NOLINT(swope-raw-codes): setup
   const std::vector<ValueCode> b =
       MakeColumn(64, 1 << 16, 3).codes();  // NOLINT(swope-raw-codes): setup
-  PairCounter counter(64, 64, /*dense_limit=*/1 << 20);
-  uint64_t i = 0;
+  PairCounter counter(64, 64, dense_limit);
+  uint64_t offset = 0;
   for (auto _ : state) {
-    counter.Add(a[i & 0xffff], b[i & 0xffff]);
-    ++i;
+    counter.AddCodes(a.data() + offset, b.data() + offset, kSliceCodes);
+    offset = (offset + kSliceCodes) & kCodeMask;
   }
   benchmark::DoNotOptimize(counter.SampleJointEntropy());
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * kSliceCodes);
+}
+
+void BM_PairCounterAddDense(benchmark::State& state) {
+  PairCounterAdd(state, /*dense_limit=*/1 << 20);
 }
 BENCHMARK(BM_PairCounterAddDense);
 
 void BM_PairCounterAddSparse(benchmark::State& state) {
+  PairCounterAdd(state, /*dense_limit=*/1);
+}
+BENCHMARK(BM_PairCounterAddSparse);
+
+// The round-end pass MiScorer runs per candidate: joint entropy plus the
+// b-side column sums, over a counter holding 2^16 Zipf pairs.
+// Arg 0 = 64x64 dense counter (4096 cells); Arg 1 = the same pairs in a
+// hashed counter. items = occupied cells visited.
+void BM_PairCounterEntropy(benchmark::State& state) {
   const std::vector<ValueCode> a =
       MakeColumn(64, 1 << 16, 2).codes();  // NOLINT(swope-raw-codes): setup
   const std::vector<ValueCode> b =
       MakeColumn(64, 1 << 16, 3).codes();  // NOLINT(swope-raw-codes): setup
-  PairCounter counter(64, 64, /*dense_limit=*/1);
-  uint64_t i = 0;
-  for (auto _ : state) {
-    counter.Add(a[i & 0xffff], b[i & 0xffff]);
-    ++i;
+  PairCounter counter(64, 64, state.range(0) == 0 ? 1 << 20 : 1);
+  counter.AddCodes(a.data(), b.data(), a.size());
+  uint64_t occupied = 0;
+  for (uint32_t i = 0; i < 64; ++i) {
+    for (uint32_t j = 0; j < 64; ++j) occupied += counter.count(i, j) > 0;
   }
-  benchmark::DoNotOptimize(counter.SampleJointEntropy());
-  state.SetItemsProcessed(state.iterations());
+  std::vector<uint64_t> column_sums(64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(counter.SampleJointEntropy(column_sums.data()));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * occupied));
 }
-BENCHMARK(BM_PairCounterAddSparse);
+BENCHMARK(BM_PairCounterEntropy)->Arg(0)->Arg(1);
 
 // The acceptance race for the packed storage: batch width-specialized
 // gather (ColumnView::Gather) vs a per-row `code(order[i])` loop over the

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "src/common/math.h"
 #include "src/core/bounds.h"
 #include "src/core/frequency_counter.h"
 #include "src/core/pair_counter.h"
@@ -17,8 +18,10 @@ namespace {
 struct MiState {
   size_t column = 0;
   ColumnView view;
-  FrequencyCounter marginal{0};
   PairCounter joint{0, 0};
+  // The candidate's marginal counts: the joint's column sums, refreshed
+  // at each round end.
+  std::vector<uint64_t> marginal;
 };
 
 }  // namespace
@@ -65,10 +68,10 @@ Result<FilterResult> MiFilterQuery(const Table& table, size_t target,
     MiState state;
     state.column = j;
     state.view = ColumnView(table.column(j));
-    state.marginal = FrequencyCounter(table.column(j).support());
     state.joint = PairCounter(target_col.support(),
                               table.column(j).support(),
                               options.dense_pair_limit);
+    state.marginal.resize(table.column(j).support());
     states.push_back(std::move(state));
   }
   const ColumnView target_view(target_col);
@@ -99,14 +102,15 @@ Result<FilterResult> MiFilterQuery(const Table& table, size_t target,
       const Column& col = table.column(state.column);
       const ValueCode* codes =
           state.view.Gather(sampler.order(), range.begin, range.end, scratch);
-      state.marginal.AddCodes(codes, count);
       state.joint.AddCodes(target_codes, codes, count);
-      const EntropyInterval marginal_interval = MakeEntropyInterval(
-          state.marginal.SampleEntropy(), col.support(), n, m, p_iter);
       const uint64_t u_bar = static_cast<uint64_t>(target_col.support()) *
                              static_cast<uint64_t>(col.support());
       const EntropyInterval joint_interval = MakeEntropyInterval(
-          state.joint.SampleJointEntropy(), u_bar, n, m, p_iter);
+          state.joint.SampleJointEntropy(state.marginal.data()), u_bar, n, m,
+          p_iter);
+      const EntropyInterval marginal_interval = MakeEntropyInterval(
+          EntropyFromCounts(state.marginal, state.joint.sample_count()),
+          col.support(), n, m, p_iter);
       const MiInterval interval =
           MakeMiInterval(target_interval, marginal_interval, joint_interval);
 

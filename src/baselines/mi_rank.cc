@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "src/common/math.h"
 #include "src/core/bounds.h"
 #include "src/core/frequency_counter.h"
 #include "src/core/pair_counter.h"
@@ -17,8 +18,10 @@ namespace {
 struct MiCandidate {
   size_t column = 0;
   ColumnView view;
-  FrequencyCounter marginal{0};
   PairCounter joint{0, 0};
+  // The candidate's marginal counts: the joint's column sums, refreshed
+  // at each round end.
+  std::vector<uint64_t> marginal;
   MiInterval interval;
 };
 
@@ -63,9 +66,9 @@ Result<TopKResult> MiRankTopK(const Table& table, size_t target, size_t k,
     MiCandidate c;
     c.column = j;
     c.view = ColumnView(table.column(j));
-    c.marginal = FrequencyCounter(table.column(j).support());
     c.joint = PairCounter(target_col.support(), table.column(j).support(),
                           options.dense_pair_limit);
+    c.marginal.resize(table.column(j).support());
     candidates.push_back(std::move(c));
   }
   const ColumnView target_view(target_col);
@@ -110,14 +113,15 @@ Result<TopKResult> MiRankTopK(const Table& table, size_t target, size_t k,
       MiCandidate& c = candidates[idx];
       const ValueCode* codes =
           c.view.Gather(sampler.order(), range.begin, range.end, scratch);
-      c.marginal.AddCodes(codes, count);
       c.joint.AddCodes(target_codes, codes, count);
-      const EntropyInterval marginal_interval = MakeEntropyInterval(
-          c.marginal.SampleEntropy(), c.view.support(), n, m, p_iter);
       const uint64_t u_bar = static_cast<uint64_t>(target_col.support()) *
                              static_cast<uint64_t>(c.view.support());
       const EntropyInterval joint_interval = MakeEntropyInterval(
-          c.joint.SampleJointEntropy(), u_bar, n, m, p_iter);
+          c.joint.SampleJointEntropy(c.marginal.data()), u_bar, n, m,
+          p_iter);
+      const EntropyInterval marginal_interval = MakeEntropyInterval(
+          EntropyFromCounts(c.marginal, c.joint.sample_count()),
+          c.view.support(), n, m, p_iter);
       c.interval =
           MakeMiInterval(target_interval, marginal_interval, joint_interval);
     }

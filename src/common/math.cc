@@ -24,23 +24,6 @@ double EntropyFromXLog2XSum(double sum_xlog2x, uint64_t total) {
   return h < 0.0 ? 0.0 : h;
 }
 
-double XLog2XIncrement(uint64_t old_count) {
-  // Function-local static reference: built on first use, never destroyed
-  // (trivially reclaimed at process exit).
-  static const std::vector<double>& kTable = *[] {
-    // NOLINTNEXTLINE(swope-naked-new): leaky singleton, no destructor race
-    auto* table = new std::vector<double>(internal_math::kXLog2XTableSize);
-    for (uint64_t c = 0; c < table->size(); ++c) {
-      (*table)[c] = XLog2X(static_cast<double>(c + 1)) -
-                    XLog2X(static_cast<double>(c));
-    }
-    return table;
-  }();
-  if (old_count < kTable.size()) return kTable[old_count];
-  return XLog2X(static_cast<double>(old_count + 1)) -
-         XLog2X(static_cast<double>(old_count));
-}
-
 double EntropyOfPmf(const std::vector<double>& pmf) {
   double mass = 0.0;
   for (double p : pmf) {

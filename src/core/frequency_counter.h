@@ -1,12 +1,12 @@
-// FrequencyCounter: incremental per-attribute sample statistics.
+// FrequencyCounter: per-attribute sample counts.
 //
-// Maintains the value counts m_i of the sampled prefix S(alpha); the
-// sample entropy
+// Holds only the value counts m_i of the sampled prefix S(alpha): the
+// per-row hot path is one count increment. The sample entropy
 //   H_S(alpha) = log2(M) - (sum_i m_i log2 m_i) / M          (Equation 1)
-// is computed on demand by one O(u_alpha) scan. The queries evaluate
-// bounds once per doubling iteration, so the total evaluation work is
-// O(u * log N) per attribute -- negligible next to the O(M) counting --
-// while the per-row hot path stays a single count increment.
+// is computed from the counts when a round's bounds are evaluated, by one
+// O(u_alpha) scan. The queries evaluate bounds once per doubling
+// iteration, so the total evaluation work is O(u * log N) per attribute --
+// negligible next to the O(M) counting.
 
 #ifndef SWOPE_CORE_FREQUENCY_COUNTER_H_
 #define SWOPE_CORE_FREQUENCY_COUNTER_H_
@@ -34,12 +34,10 @@ class FrequencyCounter {
   /// Count m_i of value i.
   uint64_t count(uint32_t code) const { return counts_[code]; }
   const std::pmr::vector<uint64_t>& counts() const { return counts_; }
-  /// Number of values with m_i > 0.
-  uint32_t distinct_seen() const { return distinct_seen_; }
 
   /// Absorbs one sampled value.
   void Add(ValueCode code) {
-    if (counts_[code]++ == 0) ++distinct_seen_;
+    ++counts_[code];
     ++sample_count_;
   }
 
@@ -47,7 +45,9 @@ class FrequencyCounter {
   /// permutation slice; see ColumnView::Gather). Counting is decoupled
   /// from storage: callers batch-decode once, then feed the span here.
   void AddCodes(const ValueCode* codes, uint64_t count) {
-    for (uint64_t i = 0; i < count; ++i) Add(codes[i]);
+    uint64_t* counts = counts_.data();
+    for (uint64_t i = 0; i < count; ++i) ++counts[codes[i]];
+    sample_count_ += count;
   }
 
   /// Sample entropy H_S(alpha) in bits (0 when no samples). One O(u)
@@ -58,7 +58,6 @@ class FrequencyCounter {
  private:
   std::pmr::vector<uint64_t> counts_;
   uint64_t sample_count_ = 0;
-  uint32_t distinct_seen_ = 0;
 };
 
 }  // namespace swope

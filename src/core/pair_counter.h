@@ -1,15 +1,20 @@
-// PairCounter: incremental joint-value statistics for a column pair,
-// the mutual-information analogue of FrequencyCounter.
+// PairCounter: joint-value sample counts for a column pair, the
+// mutual-information analogue of FrequencyCounter.
 //
-// Maintains counts of (code_a, code_b) pairs plus the running
-// sum m_{ij} log2 m_{ij}, so the sample joint entropy H_S(a, b) is O(1)
-// after each batch. Storage is adaptive: tiny domains use a dense
-// u_a*u_b array immediately; larger domains start with the
-// open-addressing FlatHashMap (an MI query builds one counter per
-// candidate, and most candidates are pruned after a few thousand
-// samples, so eagerly zeroing h dense arrays would dominate the query)
-// and migrate to the dense layout once enough distinct pairs accumulate
-// to make it worthwhile -- provided the domain fits under `dense_limit`.
+// Holds only the counts of (code_a, code_b) pairs: the per-row hot path is
+// one increment. The sample joint entropy H_S(a, b), and optionally the
+// b-side marginal counts (the column sums), are computed from the counts
+// when a round's bounds are evaluated. That pass sums m_{ij} log2 m_{ij} in
+// 64.64 fixed point, so the result does not depend on the order in which
+// the layout visits its keys. Storage is adaptive: tiny domains use a dense
+// u_a*u_b array immediately; larger domains start with the open-addressing
+// FlatHashMap (an MI query builds one counter per candidate, and most
+// candidates are pruned after a few thousand samples, so eagerly zeroing h
+// dense arrays would dominate the query) and migrate to the dense layout
+// once enough distinct pairs accumulate to make it worthwhile -- provided
+// the domain fits under `dense_limit`. A table is therefore dense only when
+// it has at most kImmediateDenseCells cells or is at least 1/8 occupied, so
+// one evaluation costs O(max(kImmediateDenseCells, 8 * M)).
 
 #ifndef SWOPE_CORE_PAIR_COUNTER_H_
 #define SWOPE_CORE_PAIR_COUNTER_H_
@@ -23,7 +28,7 @@
 
 namespace swope {
 
-/// Incremental joint counter over code pairs from two attributes.
+/// Joint counter over code pairs from two attributes.
 class PairCounter {
  public:
   /// Domains up to this many cells go dense at construction.
@@ -39,30 +44,33 @@ class PairCounter {
               std::pmr::memory_resource* memory = nullptr);
 
   uint64_t sample_count() const { return sample_count_; }
-  /// Number of distinct pairs observed so far.
-  uint64_t distinct_pairs() const { return distinct_pairs_; }
   /// True when currently using the dense layout (may flip from false to
   /// true over the counter's lifetime, never back).
   bool is_dense() const { return is_dense_; }
 
   /// Absorbs one sampled pair.
-  void Add(ValueCode a, ValueCode b) {
-    if (is_dense_) {
-      Bump(dense_[Key(a, b)]);
-    } else {
-      AddSparse(a, b);
-    }
-  }
+  void Add(ValueCode a, ValueCode b) { AddCodes(&a, &b, 1); }
 
-  /// Absorbs `count` pre-decoded pairs (a[i], b[i]), in order. Callers
-  /// gather both columns' slices through ColumnView first; preserving the
-  /// per-index order keeps results bit-identical to per-row Add calls.
+  /// Absorbs `count` pre-decoded pairs (a[i], b[i]). Callers gather both
+  /// columns' slices through ColumnView first.
   void AddCodes(const ValueCode* a, const ValueCode* b, uint64_t count) {
-    for (uint64_t i = 0; i < count; ++i) Add(a[i], b[i]);
+    if (!is_dense_) {
+      AddCodesSparse(a, b, count);
+      return;
+    }
+    uint64_t* dense = dense_.data();
+    const uint64_t support_b = support_b_;
+    for (uint64_t i = 0; i < count; ++i) {
+      ++dense[static_cast<uint64_t>(a[i]) * support_b + b[i]];
+    }
+    sample_count_ += count;
   }
 
-  /// Sample joint entropy H_S(a, b) in bits.
-  double SampleJointEntropy() const;
+  /// Sample joint entropy H_S(a, b) in bits, computed from the counts.
+  /// When `b_counts` is non-null it must hold support_b entries; they are
+  /// overwritten with the b-side marginal counts sum_i m_{ib}, which are
+  /// the counts a FrequencyCounter over the b codes would hold.
+  double SampleJointEntropy(uint64_t* b_counts = nullptr) const;
 
   /// Count of a specific pair (for tests).
   uint64_t count(ValueCode a, ValueCode b) const;
@@ -71,10 +79,10 @@ class PairCounter {
   uint64_t Key(ValueCode a, ValueCode b) const {
     return static_cast<uint64_t>(a) * support_b_ + b;
   }
-  void Bump(uint64_t& slot);
-  void AddSparse(ValueCode a, ValueCode b);
+  void AddCodesSparse(const ValueCode* a, const ValueCode* b, uint64_t count);
   void MigrateToDense();
 
+  uint32_t support_a_;
   uint32_t support_b_;
   uint64_t cells_;
   uint64_t dense_limit_;
@@ -83,8 +91,6 @@ class PairCounter {
   std::pmr::vector<uint64_t> dense_;
   FlatHashMap<uint64_t, uint64_t> sparse_;
   uint64_t sample_count_ = 0;
-  uint64_t distinct_pairs_ = 0;
-  double sum_xlog2x_ = 0.0;
 };
 
 }  // namespace swope

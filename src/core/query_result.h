@@ -33,9 +33,11 @@ struct QueryStats {
   uint64_t initial_sample_size = 0;
   /// Number of bound-evaluation iterations executed.
   uint32_t iterations = 0;
-  /// Total counter updates performed (one per attribute value or value
-  /// pair absorbed); the algorithm's dominant cost, comparable across
-  /// SWOPE / baselines / Exact.
+  /// Attribute values and value pairs absorbed (an MI candidate absorbs
+  /// one of each per sampled row); the algorithm's dominant cost, in the
+  /// paper's unit, comparable across SWOPE / baselines / Exact. An exact
+  /// MI candidate physically increments only its joint counter (its
+  /// marginal is the joint's column sums) but is still charged both.
   uint64_t cells_scanned = 0;
   /// Candidates still undecided at termination (0 for filtering queries
   /// that classified everything).

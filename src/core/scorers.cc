@@ -7,6 +7,7 @@
 #include <cmath>
 #include <utility>
 
+#include "src/common/math.h"
 #include "src/obs/profiler.h"
 
 namespace swope {
@@ -159,21 +160,23 @@ MiScorer::MiScorer(const Table& table, size_t target,
     // Assignments below move between equal-resource counters, so the
     // arena-built buffers are stolen, not copied.
     CandidateCounters counter(memory_);
-    if (marginal_sketched) {
-      counter.marginal_sketch =
-          MakeScorerSketch(options, j, kSketchHeavyCapacity);
-    } else {
-      counter.marginal = FrequencyCounter(support, memory_);
-    }
     if (target_sketched || marginal_sketched) {
       // The joint domain contains a sketched side, so it is counted
-      // through a sketch too (keyed (target_code << 32) | code).
+      // through a sketch too (keyed (target_code << 32) | code), and the
+      // marginal is counted on its own.
       counter.joint_sketch = MakeScorerSketch(options, kJointSaltBit | j,
                                               kSketchJointHeavyCapacity);
+      if (marginal_sketched) {
+        counter.marginal_sketch =
+            MakeScorerSketch(options, j, kSketchHeavyCapacity);
+      } else {
+        counter.marginal = FrequencyCounter(support, memory_);
+      }
       ++sketch_candidates_;
     } else {
       counter.joint = PairCounter(target_col_.support(), support,
                                   options.dense_pair_limit, memory_);
+      counter.joint_marginal.resize(support);
     }
     counters_.push_back(std::move(counter));
   }
@@ -222,29 +225,46 @@ MiInterval MiScorer::UpdateMi(size_t c, const std::vector<uint32_t>& order,
     codes = view.Gather(order, begin, end, lease.buffer());
   }
   const uint64_t count = end - begin;
-  EntropyInterval marginal_interval;
-  if (counter.marginal_sketch != nullptr) {
-    {
-      StageTimer timer(profiler_, Stage::kCount);
-      counter.marginal_sketch->AddCodes(codes, count);
-    }
-    StageTimer timer(profiler_, Stage::kIntervalUpdate);
-    marginal_interval =
-        MakeSketchEntropyInterval(counter.marginal_sketch->Summarize(),
-                                  view.support(), n_, m, p_iter_);
-  } else {
-    {
-      StageTimer timer(profiler_, Stage::kCount);
-      counter.marginal.AddCodes(codes, count);
-    }
-    StageTimer timer(profiler_, Stage::kIntervalUpdate);
-    marginal_interval = MakeEntropyInterval(
-        counter.marginal.SampleEntropy(), view.support(), n_, m, p_iter_);
-  }
   const uint64_t u_bar = static_cast<uint64_t>(target_col_.support()) *
                          static_cast<uint64_t>(view.support());
+  EntropyInterval marginal_interval;
   EntropyInterval joint_interval;
-  if (counter.joint_sketch != nullptr) {
+  if (counter.joint_sketch == nullptr) {
+    // Exact joint: one increment per row. The round-end pass computes the
+    // joint entropy and the candidate's marginal counts (the joint's
+    // column sums) from the counts.
+    {
+      StageTimer timer(profiler_, Stage::kCount);
+      counter.joint.AddCodes(target_slice_.data(), codes, count);
+    }
+    StageTimer timer(profiler_, Stage::kIntervalUpdate);
+    std::pmr::vector<uint64_t>& marginal = counter.joint_marginal;
+    const double joint_entropy =
+        counter.joint.SampleJointEntropy(marginal.data());
+    const double marginal_entropy = EntropyFromCounts(
+        marginal.data(), marginal.size(), counter.joint.sample_count());
+    joint_interval = MakeEntropyInterval(joint_entropy, u_bar, n_, m, p_iter_);
+    marginal_interval = MakeEntropyInterval(
+        marginal_entropy, view.support(), n_, m, p_iter_);
+  } else {
+    if (counter.marginal_sketch != nullptr) {
+      {
+        StageTimer timer(profiler_, Stage::kCount);
+        counter.marginal_sketch->AddCodes(codes, count);
+      }
+      StageTimer timer(profiler_, Stage::kIntervalUpdate);
+      marginal_interval =
+          MakeSketchEntropyInterval(counter.marginal_sketch->Summarize(),
+                                    view.support(), n_, m, p_iter_);
+    } else {
+      {
+        StageTimer timer(profiler_, Stage::kCount);
+        counter.marginal.AddCodes(codes, count);
+      }
+      StageTimer timer(profiler_, Stage::kIntervalUpdate);
+      marginal_interval = MakeEntropyInterval(
+          counter.marginal.SampleEntropy(), view.support(), n_, m, p_iter_);
+    }
     {
       StageTimer timer(profiler_, Stage::kCount);
       counter.joint_sketch->AddPairs(target_slice_.data(), codes, count);
@@ -252,14 +272,6 @@ MiInterval MiScorer::UpdateMi(size_t c, const std::vector<uint32_t>& order,
     StageTimer timer(profiler_, Stage::kIntervalUpdate);
     joint_interval = MakeSketchEntropyInterval(
         counter.joint_sketch->Summarize(), u_bar, n_, m, p_iter_);
-  } else {
-    {
-      StageTimer timer(profiler_, Stage::kCount);
-      counter.joint.AddCodes(target_slice_.data(), codes, count);
-    }
-    StageTimer timer(profiler_, Stage::kIntervalUpdate);
-    joint_interval = MakeEntropyInterval(counter.joint.SampleJointEntropy(),
-                                         u_bar, n_, m, p_iter_);
   }
   if (marginal_out != nullptr) *marginal_out = marginal_interval;
   StageTimer timer(profiler_, Stage::kIntervalUpdate);

@@ -2,9 +2,9 @@
 // (internal to src/core/ — see adaptive_sampling_driver.h).
 //
 //   EntropyScorer  one FrequencyCounter per column; Lemma 3 intervals.
-//   MiScorer       a shared target counter plus, per candidate, a marginal
-//                  FrequencyCounter and a joint PairCounter; Section 4.1
-//                  interval composition.
+//   MiScorer       a shared target counter plus, per candidate, one joint
+//                  PairCounter whose column sums give the candidate's
+//                  marginal; Section 4.1 interval composition.
 //   NmiScorer      MiScorer's counters, with the MI interval normalized by
 //                  sqrt(H(t) * H(a)) bounds.
 //
@@ -87,8 +87,10 @@ class MiScorer : public Scorer {
 
   double bounds_per_candidate() const override { return 3.0; }
   uint64_t CellsPerRow(size_t active) const override {
-    // Target marginal plus, per candidate, one marginal and one joint
-    // update per row.
+    // Target value plus, per candidate, one value and one pair absorbed
+    // per row -- the unit of the paper and the Exact* stats, even though
+    // an exact candidate counts only its pair (its marginal is the
+    // joint's column sums).
     return 1 + 2 * active;
   }
   void BeginRound(const std::vector<uint32_t>& order, uint64_t begin,
@@ -102,10 +104,9 @@ class MiScorer : public Scorer {
                       double epsilon) const override;
 
  protected:
-  /// Folds order[begin..end) into candidate `c`'s marginal and joint
-  /// counters and returns the composed MI interval at sample size `m`;
-  /// also reports the candidate's marginal entropy interval (the NMI
-  /// normalization needs it).
+  /// Folds order[begin..end) into candidate `c`'s counters and returns the
+  /// composed MI interval at sample size `m`; also reports the candidate's
+  /// marginal entropy interval (the NMI normalization needs it).
   MiInterval UpdateMi(size_t c, const std::vector<uint32_t>& order,
                       uint64_t begin, uint64_t end, uint64_t m,
                       EntropyInterval* marginal_out);
@@ -123,15 +124,22 @@ class MiScorer : public Scorer {
     /// Every container allocates from `memory` so an arena-backed query
     /// builds its whole candidate state in the arena.
     explicit CandidateCounters(std::pmr::memory_resource* memory)
-        : marginal(0, memory), joint(0, 0, 1ULL << 20, memory) {}
+        : joint(0, 0, 1ULL << 20, memory),
+          joint_marginal(memory),
+          marginal(0, memory) {}
 
-    FrequencyCounter marginal;
+    /// Exact joint: the only per-row counter. Its column sums are
+    /// written to `joint_marginal` (support entries) at each round end,
+    /// and the candidate's marginal entropy is computed from them.
     PairCounter joint;
-    // Sketch-path replacements; null means the exact counter above is
-    // live. The joint sketch is keyed (target_code << 32) | code and is
-    // engaged whenever either marginal is sketched.
-    std::unique_ptr<SketchFrequencyProvider> marginal_sketch;
+    std::pmr::vector<uint64_t> joint_marginal;
+    // Sketch path: the joint sketch is keyed (target_code << 32) | code
+    // and is engaged whenever either marginal is sketched; the candidate's
+    // marginal is then counted on its own, through `marginal_sketch` when
+    // the candidate is sketched and through `marginal` otherwise.
     std::unique_ptr<SketchFrequencyProvider> joint_sketch;
+    std::unique_ptr<SketchFrequencyProvider> marginal_sketch;
+    FrequencyCounter marginal;
   };
 
   ColumnView target_view_;

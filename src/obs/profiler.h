@@ -39,9 +39,11 @@ enum class Stage : uint8_t {
   /// including the MI target-column gather.
   kGather = 0,
   /// Histogram counting over gathered codes (FrequencyCounter /
-  /// PairCounter AddCodes/AddPairs, sketch absorbs).
+  /// PairCounter AddCodes, sketch AddCodes/AddPairs).
   kCount,
-  /// Interval arithmetic: lambda, Lemma-1 bias, interval composition.
+  /// Round-end evaluation: entropies computed from the counts (including
+  /// PairCounter's joint pass and its column sums) or sketch summaries,
+  /// then lambda, Lemma-1 bias and interval composition.
   kIntervalUpdate,
   /// Waiting for an admission slot before the query could execute.
   kSchedulingWait,

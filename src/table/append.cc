@@ -60,7 +60,7 @@ Result<Table> AppendRowsToTable(
     }
   }
   const uint64_t new_rows = table.num_rows() + rows.size();
-  if (new_rows > std::numeric_limits<uint32_t>::max()) {
+  if (new_rows > Table::kMaxRows) {
     return Status::InvalidArgument(
         "append: row count " + std::to_string(new_rows) +
         " exceeds the 2^32 - 1 row limit");

@@ -67,6 +67,17 @@ std::streamoff RemainingBytes(std::istream& in) {
   return end - cur;
 }
 
+// Rejects a header row count above Table::kMaxRows before any column is
+// read, so a lying header never costs a validation scan.
+Status CheckRowCount(uint64_t num_rows) {
+  if (num_rows > Table::kMaxRows) {
+    return Status::Corruption("binary table: header claims " +
+                              std::to_string(num_rows) +
+                              " rows, above the 2^32 - 1 row limit");
+  }
+  return Status::OK();
+}
+
 // Reads a version-1 payload: num_rows 4-byte codes, then re-packs via the
 // validating factory. Chunked so a lying header fails with Corruption
 // rather than one huge allocation.
@@ -362,6 +373,7 @@ Result<Table> ReadBinaryTable(std::istream& input) {
   if (!ReadPod(input, num_rows) || !ReadPod(input, num_columns)) {
     return Status::Corruption("binary table: truncated header");
   }
+  SWOPE_RETURN_NOT_OK(CheckRowCount(num_rows));
   // Lower-bound the bytes the header promises against what the stream can
   // actually deliver. Version 1 columns cost at least their 9-byte fixed
   // header plus num_rows 4-byte codes; version 2 columns cost at least a
@@ -574,6 +586,7 @@ Result<Table> ReadBinaryTableFileMapped(const std::string& path) {
   if (!in.ReadPod(num_rows) || !in.ReadPod(num_columns)) {
     return Status::Corruption("binary table: truncated header");
   }
+  SWOPE_RETURN_NOT_OK(CheckRowCount(num_rows));
   // Same lower-bound plausibility check as the stream reader: every v2/v3
   // column costs at least its fixed header plus the width byte (plus the
   // sketch flag in v3).

@@ -26,6 +26,11 @@ Result<Table> Table::Make(std::vector<Column> columns) {
           std::to_string(columns.front().size()));
     }
   }
+  if (!columns.empty() && columns.front().size() > kMaxRows) {
+    return Status::InvalidArgument(
+        "table: row count " + std::to_string(columns.front().size()) +
+        " exceeds the 2^32 - 1 row limit");
+  }
   return Table(std::move(columns));
 }
 

@@ -4,6 +4,7 @@
 #define SWOPE_TABLE_TABLE_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -18,8 +19,12 @@ namespace swope {
 /// queries scan each attribute's values sequentially.
 class Table {
  public:
-  /// Validating factory: all columns must share one row count and names
-  /// must be unique and non-empty.
+  /// Largest supported row count: sampling indexes rows with uint32_t
+  /// (ShuffledRowOrder, PrefixSampler, PermutationCache).
+  static constexpr uint64_t kMaxRows = std::numeric_limits<uint32_t>::max();
+
+  /// Validating factory: all columns must share one row count of at most
+  /// kMaxRows, and names must be unique and non-empty.
   static Result<Table> Make(std::vector<Column> columns);
 
   Table() = default;

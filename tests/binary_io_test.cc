@@ -245,6 +245,42 @@ TEST(BinaryIoTest, OverflowingRowCountTimesWidthIsCorruption) {
   EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
 }
 
+TEST(BinaryIoTest, RowCountAboveSamplingLimitIsCorruption) {
+  // 2^32 + 5 rows of one width-0 column: the image is complete (a
+  // constant column has no payload), so only the row limit can reject
+  // it. Both loaders must do so from the header, before the column scan.
+  constexpr unsigned char kTooManyRowsV2[] = {
+      'S', 'W', 'P', 'B',              // magic
+      2, 0, 0, 0,                      // version = 2
+      5, 0, 0, 0, 1, 0, 0, 0,          // num_rows = 2^32 + 5
+      1, 0, 0, 0,                      // num_columns = 1
+      1, 0, 0, 0, 'x',                 // name "x"
+      1, 0, 0, 0,                      // support = 1 -> width 0
+      0,                               // has_labels = 0
+      0,                               // declared width, no payload
+  };
+  const std::string image(reinterpret_cast<const char*>(kTooManyRowsV2),
+                          sizeof(kTooManyRowsV2));
+  std::stringstream heap(image);
+  const Status heap_status = ReadBinaryTable(heap).status();
+  EXPECT_TRUE(heap_status.IsCorruption()) << heap_status.ToString();
+  EXPECT_NE(heap_status.message().find("header claims 4294967301 rows"),
+            std::string::npos)
+      << heap_status.ToString();
+
+  const std::string path = testing::TempDir() + "/swope_too_many_rows.swpb";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(image.data(), static_cast<std::streamsize>(image.size()));
+  }
+  const Status mapped_status = ReadBinaryTableFileMapped(path).status();
+  EXPECT_TRUE(mapped_status.IsCorruption()) << mapped_status.ToString();
+  EXPECT_NE(mapped_status.message().find("header claims 4294967301 rows"),
+            std::string::npos)
+      << mapped_status.ToString();
+  std::remove(path.c_str());
+}
+
 TEST(BinaryIoTest, LyingColumnCountIsCorruption) {
   const Table original = SampleTable();
   std::stringstream buffer;

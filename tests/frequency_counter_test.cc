@@ -14,7 +14,6 @@ namespace {
 TEST(FrequencyCounterTest, StartsEmpty) {
   FrequencyCounter counter(4);
   EXPECT_EQ(counter.sample_count(), 0u);
-  EXPECT_EQ(counter.distinct_seen(), 0u);
   EXPECT_EQ(counter.SampleEntropy(), 0.0);
 }
 
@@ -27,7 +26,6 @@ TEST(FrequencyCounterTest, CountsValues) {
   EXPECT_EQ(counter.count(0), 1u);
   EXPECT_EQ(counter.count(1), 0u);
   EXPECT_EQ(counter.count(2), 2u);
-  EXPECT_EQ(counter.distinct_seen(), 2u);
 }
 
 TEST(FrequencyCounterTest, EntropyMatchesBatchFormula) {

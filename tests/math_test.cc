@@ -59,27 +59,6 @@ TEST(MathTest, EntropyFromXLog2XSumClampsNegativeNoise) {
   EXPECT_EQ(EntropyFromXLog2XSum(sum, 8), 0.0);
 }
 
-TEST(MathTest, XLog2XIncrementMatchesDirectComputation) {
-  const std::vector<uint64_t> counts = {
-      0,     1,
-      2,     100,
-      65535, internal_math::kXLog2XTableSize - 1,
-      internal_math::kXLog2XTableSize,
-      internal_math::kXLog2XTableSize + 77};
-  for (uint64_t c : counts) {
-    const double expected = XLog2X(static_cast<double>(c + 1)) -
-                            XLog2X(static_cast<double>(c));
-    EXPECT_NEAR(XLog2XIncrement(c), expected, 1e-12) << "c=" << c;
-  }
-}
-
-TEST(MathTest, XLog2XIncrementAccumulatesToSum) {
-  // Summing increments 0..n-1 must reproduce n*log2(n).
-  double sum = 0.0;
-  for (uint64_t c = 0; c < 1000; ++c) sum += XLog2XIncrement(c);
-  EXPECT_NEAR(sum, XLog2X(1000.0), 1e-9);
-}
-
 TEST(MathTest, EntropyOfPmfNormalizes) {
   // Unnormalized uniform weights still give log2(n).
   EXPECT_NEAR(EntropyOfPmf({2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0}), 3.0,

@@ -173,5 +173,32 @@ TEST(SketchEstimationTest, MiWithSketchedCandidateRuns) {
   }
 }
 
+TEST(SketchEstimationTest, MiWithSketchedTargetCountsExactMarginals) {
+  // A sketched target routes every joint through a sketch, so the exact
+  // candidates count their marginals on their own (no joint column sums
+  // exist). i % 16 and i % 8 are functions of i % 4096, so they carry
+  // 4 and 3 bits about the target; i % 3 carries almost none.
+  const uint64_t rows = 4096 * 4;
+  std::vector<Column> columns;
+  columns.push_back(UniformColumn("hc", 4096, rows));
+  columns.push_back(UniformColumn("mod3", 3, rows));
+  columns.push_back(UniformColumn("mod16", 16, rows));
+  columns.push_back(UniformColumn("mod8", 8, rows));
+  auto made = Table::Make(std::move(columns));
+  ASSERT_TRUE(made.ok());
+  const Table table = std::move(made).value();
+
+  QueryOptions options;
+  options.epsilon = 0.5;
+  options.sketch_epsilon = 0.01;
+  auto result = SwopeTopKMi(table, /*target=*/0, 1, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->stats.sketch_candidates, 3u);
+  ASSERT_EQ(result->items.size(), 1u);
+  EXPECT_EQ(result->items[0].name, "mod16");
+  EXPECT_TRUE(std::isfinite(result->items[0].estimate));
+  EXPECT_GE(result->items[0].upper + 1e-9, result->items[0].lower);
+}
+
 }  // namespace
 }  // namespace swope

@@ -49,6 +49,28 @@ TEST(TableTest, RejectsMismatchedRowCounts) {
   EXPECT_TRUE(table.status().IsInvalidArgument());
 }
 
+TEST(TableTest, RejectsMoreRowsThanSamplingCanIndex) {
+  // Sampling indexes rows with uint32_t, so a table of 2^32 rows would be
+  // silently truncated. A width-0 (constant) column stores no payload, so
+  // the trusted factory builds one that long without allocating or
+  // scanning.
+  const uint64_t too_many = Table::kMaxRows + 1;
+  auto packed = PackedCodes::FromWords(too_many, 0, {});
+  ASSERT_TRUE(packed.ok()) << packed.status().ToString();
+  auto column = Column::FromPackedTrusted("constant", 1,
+                                          std::move(packed).value(), {},
+                                          nullptr);
+  ASSERT_TRUE(column.ok()) << column.status().ToString();
+  ASSERT_EQ(column->size(), too_many);
+  std::vector<Column> columns;
+  columns.push_back(std::move(column).value());
+  auto table = Table::Make(std::move(columns));
+  ASSERT_FALSE(table.ok());
+  EXPECT_TRUE(table.status().IsInvalidArgument());
+  EXPECT_NE(table.status().message().find("4294967296"), std::string::npos)
+      << table.status().ToString();
+}
+
 TEST(TableTest, RejectsDuplicateNames) {
   std::vector<Column> columns;
   columns.push_back(MakeColumn("a", 2, {0}));
