@@ -12,9 +12,9 @@
 
 #include "bench/bench_util.h"
 #include "src/common/thread_pool.h"
-#include "src/baselines/entropy_rank.h"
 #include "src/baselines/exact.h"
 #include "src/core/entropy.h"
+#include "src/core/sampling_baselines.h"
 #include "src/core/swope_topk_entropy.h"
 #include "src/core/swope_topk_mi.h"
 #include "src/eval/report.h"

@@ -4,8 +4,8 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "src/baselines/entropy_filter.h"
 #include "src/baselines/exact.h"
+#include "src/core/sampling_baselines.h"
 #include "src/core/swope_filter_entropy.h"
 #include "src/eval/report.h"
 

@@ -6,7 +6,7 @@
 
 #include "bench/bench_util.h"
 #include "src/baselines/exact.h"
-#include "src/baselines/mi_rank.h"
+#include "src/core/sampling_baselines.h"
 #include "src/core/swope_topk_mi.h"
 #include "src/eval/report.h"
 

@@ -7,7 +7,7 @@
 
 #include "bench/bench_util.h"
 #include "src/baselines/exact.h"
-#include "src/baselines/mi_filter.h"
+#include "src/core/sampling_baselines.h"
 #include "src/core/swope_filter_mi.h"
 #include "src/eval/report.h"
 

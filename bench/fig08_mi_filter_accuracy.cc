@@ -6,8 +6,8 @@
 
 #include "bench/bench_util.h"
 #include "src/baselines/exact.h"
-#include "src/baselines/mi_filter.h"
 #include "src/core/entropy.h"
+#include "src/core/sampling_baselines.h"
 #include "src/core/swope_filter_mi.h"
 #include "src/eval/accuracy.h"
 #include "src/eval/report.h"

@@ -202,6 +202,55 @@ void TopKPolicy::Finalize(const Scorer& scorer,
   }
 }
 
+bool RankPolicy::Decide(const Scorer& scorer, std::pmr::vector<size_t>& active,
+                        uint64_t m, uint64_t n,
+                        std::pmr::vector<AttributeScore>& /*items*/) {
+  // When k or fewer candidates survive, they are the answer.
+  if (active.size() <= k_) return true;
+
+  // Exact-separation stopping rule: k-th largest lower bound >= (k+1)-th
+  // largest upper bound.
+  lowers_.clear();
+  uppers_.clear();
+  lowers_.reserve(active.size());
+  uppers_.reserve(active.size());
+  for (size_t idx : active) {
+    lowers_.push_back(scorer.interval(idx).lower);
+    uppers_.push_back(scorer.interval(idx).upper);
+  }
+  std::nth_element(lowers_.begin(), lowers_.begin() + (k_ - 1), lowers_.end(),
+                   std::greater<double>());
+  const double kth_lower = lowers_[k_ - 1];
+  std::nth_element(uppers_.begin(), uppers_.begin() + k_, uppers_.end(),
+                   std::greater<double>());
+  if (kth_lower >= uppers_[k_] || m >= n) return true;
+
+  // Prune candidates that can no longer reach the top-k.
+  std::erase_if(active, [&](size_t idx) {
+    return scorer.interval(idx).upper < kth_lower;
+  });
+  return false;
+}
+
+void RankPolicy::Finalize(const Scorer& scorer,
+                          const std::pmr::vector<size_t>& active,
+                          std::pmr::vector<AttributeScore>& items) {
+  order_.assign(active.begin(), active.end());
+  std::sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
+    if (scorer.interval(a).lower != scorer.interval(b).lower) {
+      return scorer.interval(a).lower > scorer.interval(b).lower;
+    }
+    return scorer.column(a) < scorer.column(b);
+  });
+  order_.resize(std::min(order_.size(), k_));
+  for (size_t idx : order_) {
+    const ScoreInterval& interval = scorer.interval(idx);
+    items.push_back({scorer.column(idx),
+                     table_.column(scorer.column(idx)).name(),
+                     interval.Estimate(), interval.lower, interval.upper});
+  }
+}
+
 bool FilterPolicy::Decide(const Scorer& scorer,
                           std::pmr::vector<size_t>& active, uint64_t m,
                           uint64_t n, std::pmr::vector<AttributeScore>& items) {

@@ -7,7 +7,9 @@
 // AdaptiveSamplingDriver owns that loop once; a Scorer supplies the
 // per-candidate counters and intervals, and a DecisionPolicy supplies the
 // stopping rule, pruning, and answer assembly. The public entry points
-// (swope_topk_entropy.h et al.) are thin wrappers that pick the pair.
+// (swope_topk_entropy.h et al.) are thin wrappers that pick the pair; the
+// sampling baselines (sampling_baselines.h) are the same wrappers with an
+// exact stopping rule (RankPolicy, or FilterPolicy at epsilon = 0).
 //
 // Parallelism and determinism: every round updates each active
 // candidate through one call, Scorer::UpdateCandidate, over the whole
@@ -198,12 +200,46 @@ class TopKPolicy : public DecisionPolicy {
   std::pmr::vector<size_t> order_;
 };
 
+/// Exact-separation top-k (the EntropyRank / MiRank baselines): stop once
+/// k or fewer candidates remain or the k-th largest lower bound reaches
+/// the (k+1)-th largest upper bound, prune candidates whose upper bound
+/// falls below the k-th largest lower bound, emit the k best by lower
+/// bound (ties by ascending column index).
+class RankPolicy : public DecisionPolicy {
+ public:
+  /// Round scratch allocates from `memory` (null: global heap).
+  RankPolicy(const Table& table, size_t k,
+             std::pmr::memory_resource* memory = nullptr)
+      : table_(table),
+        k_(k),
+        uppers_(memory != nullptr ? memory
+                                  : std::pmr::get_default_resource()),
+        lowers_(uppers_.get_allocator()),
+        order_(uppers_.get_allocator()) {}
+
+  bool Decide(const Scorer& scorer, std::pmr::vector<size_t>& active,
+              uint64_t m, uint64_t n,
+              std::pmr::vector<AttributeScore>& items) override;
+  void Finalize(const Scorer& scorer, const std::pmr::vector<size_t>& active,
+                std::pmr::vector<AttributeScore>& items) override;
+
+ private:
+  const Table& table_;
+  size_t k_;
+  // Per-round selection scratch, as in TopKPolicy.
+  std::pmr::vector<double> uppers_;
+  std::pmr::vector<double> lowers_;
+  std::pmr::vector<size_t> order_;
+};
+
 /// Filter (Algorithms 2 and 4): classify each candidate against eta as
 /// soon as its interval permits — accept when the interval is narrow and
 /// the estimate clears eta, or the lower bound certifies it; reject when
 /// the upper bound rules it out; keep sampling otherwise. Stops when no
 /// candidate is left undecided. Accepted items are emitted in ascending
-/// column order.
+/// column order. At epsilon = 0 the width rule never fires (every interval
+/// has upper >= lower), leaving the filter baselines' exact rule: accept
+/// when lower >= eta, reject when upper < eta.
 class FilterPolicy : public DecisionPolicy {
  public:
   /// Round scratch allocates from `memory` (null: global heap).

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "src/common/alloc_hook.h"
@@ -285,15 +287,24 @@ Result<QueryResponse> QueryEngine::Run(const QuerySpec& spec,
 
 std::future<Result<QueryResponse>> QueryEngine::Submit(
     QuerySpec spec, const CancellationToken* cancel) {
-  auto promise = std::make_shared<std::promise<Result<QueryResponse>>>();
-  std::future<Result<QueryResponse>> future = promise->get_future();
+  // The task leaves its result in a shared slot instead of completing a
+  // promise itself: the caller's future first waits on the pool's own
+  // future, which ThreadPool::RunTask completes only after recording the
+  // task's run time, so a caller woken by get() sees the task in
+  // GetCounters().
+  auto slot = std::make_shared<std::optional<Result<QueryResponse>>>();
   // The lambda runs on the executor with no admission lock held; annotate
   // so the negative-capability analysis accepts the nested Run call.
-  pool_.Submit([this, promise, spec = std::move(spec),
-                cancel]() REQUIRES(!admission_mutex_) {
-    promise->set_value(Run(spec, cancel));
-  });
-  return future;
+  auto run = [this, slot, spec = std::move(spec),
+              cancel]() REQUIRES(!admission_mutex_) {
+    slot->emplace(Run(spec, cancel));
+  };
+  std::future<void> done = pool_.Submit(std::move(run));
+  return std::async(std::launch::deferred,
+                    [slot, done = std::move(done)]() mutable {
+                      done.get();
+                      return std::move(**slot);
+                    });
 }
 
 Result<QueryResponse> QueryEngine::Execute(const DatasetHandle& dataset,

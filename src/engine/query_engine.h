@@ -202,7 +202,10 @@ class QueryEngine {
                             const CancellationToken* cancel = nullptr)
       REQUIRES(!admission_mutex_);
 
-  /// Asynchronous dispatch on the engine's pool.
+  /// Asynchronous dispatch on the engine's pool. The returned future is
+  /// deferred: get() or wait() blocks until the query has finished and the
+  /// pool has recorded its run time (wait_for() reports
+  /// std::future_status::deferred).
   std::future<Result<QueryResponse>> Submit(
       QuerySpec spec, const CancellationToken* cancel = nullptr);
 

@@ -13,11 +13,7 @@
 #ifndef SWOPE_SWOPE_H_
 #define SWOPE_SWOPE_H_
 
-#include "src/baselines/entropy_filter.h"
-#include "src/baselines/entropy_rank.h"
 #include "src/baselines/exact.h"
-#include "src/baselines/mi_filter.h"
-#include "src/baselines/mi_rank.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/core/bounds.h"
@@ -25,6 +21,7 @@
 #include "src/core/exec_control.h"
 #include "src/core/query_options.h"
 #include "src/core/query_result.h"
+#include "src/core/sampling_baselines.h"
 #include "src/core/sketch_estimation.h"
 #include "src/core/swope_filter_entropy.h"
 #include "src/core/swope_filter_mi.h"

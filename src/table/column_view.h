@@ -28,7 +28,6 @@ namespace swope {
 /// A lightweight non-owning accessor; valid while the Column lives.
 class ColumnView {
  public:
-  ColumnView() = default;
   explicit ColumnView(const Column& column)
       : codes_(&column.packed()), support_(column.support()) {}
 

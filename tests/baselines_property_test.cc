@@ -8,11 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/baselines/entropy_filter.h"
-#include "src/baselines/entropy_rank.h"
-#include "src/baselines/mi_filter.h"
-#include "src/baselines/mi_rank.h"
 #include "src/core/entropy.h"
+#include "src/core/sampling_baselines.h"
 #include "tests/test_util.h"
 
 namespace swope {

@@ -1,4 +1,4 @@
-#include "src/baselines/entropy_rank.h"
+#include "src/core/sampling_baselines.h"
 
 #include <algorithm>
 #include <set>

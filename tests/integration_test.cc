@@ -6,10 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/baselines/entropy_filter.h"
-#include "src/baselines/entropy_rank.h"
 #include "src/baselines/exact.h"
 #include "src/core/entropy.h"
+#include "src/core/sampling_baselines.h"
 #include "src/core/swope_filter_entropy.h"
 #include "src/core/swope_topk_entropy.h"
 #include "src/core/swope_topk_mi.h"

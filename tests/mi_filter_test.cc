@@ -1,4 +1,4 @@
-#include "src/baselines/mi_filter.h"
+#include "src/core/sampling_baselines.h"
 
 #include <gtest/gtest.h>
 

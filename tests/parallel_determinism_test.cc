@@ -1,9 +1,10 @@
 // Golden determinism regression for the unified driver's parallel path:
 // for a fixed seed, running with QueryOptions::pool set (N worker
 // threads, either scheduling mode) must produce results byte-identical to
-// the serial path across all six query kinds and on sketch-backed
-// candidates — same items (bitwise-equal doubles), same stats. The
-// argument for why this holds by construction is in docs/CORE.md.
+// the serial path across all six query kinds, the four sampling
+// baselines, and on sketch-backed candidates — same items (bitwise-equal
+// doubles), same stats. The argument for why this holds by construction
+// is in docs/CORE.md.
 
 #include <span>
 #include <vector>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/thread_pool.h"
+#include "src/core/sampling_baselines.h"
 #include "src/core/swope_filter_entropy.h"
 #include "src/core/swope_filter_mi.h"
 #include "src/core/swope_filter_nmi.h"
@@ -228,6 +230,50 @@ TEST_F(ParallelDeterminismTest, PoolModesAndThreadCountsAgree) {
       ASSERT_TRUE(nmi.ok());
       ExpectIdentical(nmi_baseline->items, nmi->items);
       ExpectIdentical(nmi_baseline->stats, nmi->stats);
+    }
+  }
+}
+
+// The sampling baselines run on the same driver, so they inherit the
+// guarantee: 2- and 4-thread pools in both scheduling modes answer
+// byte-identically to the serial path.
+TEST_F(ParallelDeterminismTest, SamplingBaselinesAgreeAcrossPools) {
+  auto entropy_rank = EntropyRankTopK(entropy_table_, 3, Serial());
+  auto entropy_filter = EntropyFilterQuery(entropy_table_, 2.0, Serial());
+  auto mi_rank = MiRankTopK(mi_table_, 0, 2, Serial());
+  auto mi_filter = MiFilterQuery(mi_table_, 0, 0.1, Serial());
+  ASSERT_TRUE(entropy_rank.ok());
+  ASSERT_TRUE(entropy_filter.ok());
+  ASSERT_TRUE(mi_rank.ok());
+  ASSERT_TRUE(mi_filter.ok());
+
+  for (size_t threads : {2, 4}) {
+    for (PoolMode mode : {PoolMode::kWorkStealing, PoolMode::kSingleQueue}) {
+      ThreadPool pool(threads, mode);
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " pool=" << PoolModeName(mode));
+      QueryOptions options = Serial();
+      options.pool = &pool;
+
+      auto rank = EntropyRankTopK(entropy_table_, 3, options);
+      ASSERT_TRUE(rank.ok());
+      ExpectIdentical(entropy_rank->items, rank->items);
+      ExpectIdentical(entropy_rank->stats, rank->stats);
+
+      auto filter = EntropyFilterQuery(entropy_table_, 2.0, options);
+      ASSERT_TRUE(filter.ok());
+      ExpectIdentical(entropy_filter->items, filter->items);
+      ExpectIdentical(entropy_filter->stats, filter->stats);
+
+      auto mi = MiRankTopK(mi_table_, 0, 2, options);
+      ASSERT_TRUE(mi.ok());
+      ExpectIdentical(mi_rank->items, mi->items);
+      ExpectIdentical(mi_rank->stats, mi->stats);
+
+      auto mi_f = MiFilterQuery(mi_table_, 0, 0.1, options);
+      ASSERT_TRUE(mi_f.ok());
+      ExpectIdentical(mi_filter->items, mi_f->items);
+      ExpectIdentical(mi_filter->stats, mi_f->stats);
     }
   }
 }
