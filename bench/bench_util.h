@@ -87,7 +87,7 @@ inline void PrintStageBreakdown(const std::string& dataset_name,
   ReportTable table({"stage", "calls", "ms", "share"});
   const double sum_ms = profiler.StageSumMs();
   char buffer[64];
-  for (int i = 0; i < kNumStages; ++i) {
+  for (size_t i = 0; i < kNumStages; ++i) {
     const Stage stage = static_cast<Stage>(i);
     const uint64_t calls = profiler.StageCalls(stage);
     if (calls == 0) continue;

@@ -14,6 +14,7 @@
 #include "src/core/frequency_counter.h"
 #include "src/core/pair_counter.h"
 #include "src/core/swope_topk_entropy.h"
+#include "src/datagen/dataset_presets.h"
 #include "src/datagen/distributions.h"
 #include "src/datagen/generator.h"
 #include "src/obs/metrics.h"
@@ -22,6 +23,7 @@
 #include "src/table/column_view.h"
 #include "src/table/csv_reader.h"
 #include "src/table/csv_writer.h"
+#include "src/table/fingerprint.h"
 #include "src/table/shuffle.h"
 
 namespace swope {
@@ -140,6 +142,22 @@ void BM_GatherDecodePerRow(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRows);
 }
 BENCHMARK(BM_GatherDecodePerRow)->Arg(2)->Arg(64)->Arg(1000);
+
+// The content key the registry computes on every registration and
+// ingest: TableFingerprint over the 200k-row cdc preset with the
+// support > 1000 columns dropped -- the table perfbench's
+// entropy_explore and ingest_refresh workloads register. items = cells.
+void BM_TableFingerprint(benchmark::State& state) {
+  auto made = MakePresetTable(DatasetPreset::kCdc, 200000);
+  if (!made.ok()) std::abort();
+  const Table table = made->DropHighSupportColumns(1000);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TableFingerprint(table));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(
+      state.iterations() * table.num_rows() * table.num_columns()));
+}
+BENCHMARK(BM_TableFingerprint)->Unit(benchmark::kMillisecond);
 
 void BM_FlatHashMapIncrement(benchmark::State& state) {
   FlatHashMap<uint64_t, uint64_t> map(1 << 12);

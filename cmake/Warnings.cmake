@@ -1,13 +1,15 @@
 # Warning configuration for the whole tree.
 #
 # Base warnings apply to every target with directory scope. -Werror is
-# promoted per-directory (src/ and tests/ by default) through
-# swope_enable_werror(), gated on the SWOPE_WERROR cache option so a
-# newer compiler with novel diagnostics never hard-blocks a build:
+# promoted per-directory (src/, tests/, bench/, tools/ and examples/)
+# through swope_enable_werror(), gated on the SWOPE_WERROR cache option
+# so a newer compiler with novel diagnostics never hard-blocks a build:
 #
 #   cmake -B build -S . -DSWOPE_WERROR=OFF
 
-option(SWOPE_WERROR "Treat warnings as errors in src/ and tests/" ON)
+option(SWOPE_WERROR
+       "Treat warnings as errors in src/, tests/, bench/, tools/ and examples/"
+       ON)
 
 include(CheckCXXCompilerFlag)
 

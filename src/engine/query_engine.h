@@ -189,10 +189,12 @@ class QueryEngine {
 
   /// Appends `rows` (one vector of cell strings per row, in column order)
   /// to the resident dataset `name` and re-registers the result under the
-  /// same name. The append is incremental (bit-packed payloads extend in
-  /// place, sketch sidecars absorb the tail; table/append.h) but the
-  /// fingerprint is recomputed, so cached answers for the old contents
-  /// can never be served for the new ones.
+  /// same name. The append encodes only the new rows (each column's old
+  /// payload words are copied into a new owned payload with the tail
+  /// packed behind them; sketch sidecars absorb the tail; table/append.h)
+  /// and the fingerprint is recomputed in one pass over the payload
+  /// words, so cached answers for the old contents can never be served
+  /// for the new ones.
   Status Ingest(const std::string& name,
                 const std::vector<std::vector<std::string>>& rows);
 

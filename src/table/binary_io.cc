@@ -179,7 +179,8 @@ Result<Column> ReadColumnV2(std::istream& input, std::string name,
   }
   auto packed = PackedCodes::FromWords(num_rows, width, std::move(words));
   if (!packed.ok()) {
-    return Status::Corruption("binary table: " + packed.status().message());
+    return Status::Corruption("binary table: column '" + name + "': " +
+                              packed.status().message());
   }
   auto column = Column::FromPacked(std::move(name), support,
                                    std::move(packed).value(),
@@ -669,7 +670,10 @@ Result<Table> ReadBinaryTableFileMapped(const std::string& path) {
       if (payload_bytes > 0 && aligned && guarded) {
         auto borrowed = PackedCodes::BorrowWords(
             num_rows, width, reinterpret_cast<const uint64_t*>(payload));
-        if (!borrowed.ok()) return borrowed.status();
+        if (!borrowed.ok()) {
+          return Status::InvalidArgument("column '" + col_name + "': " +
+                                         borrowed.status().message());
+        }
         return Column::FromPackedBacked(std::move(name), support,
                                         std::move(borrowed).value(),
                                         std::move(labels), mapped);
@@ -679,7 +683,10 @@ Result<Table> ReadBinaryTableFileMapped(const std::string& path) {
       words.resize(num_words);
       if (num_words > 0) std::memcpy(words.data(), payload, payload_bytes);
       auto packed = PackedCodes::FromWords(num_rows, width, std::move(words));
-      if (!packed.ok()) return packed.status();
+      if (!packed.ok()) {
+        return Status::InvalidArgument("column '" + col_name + "': " +
+                                       packed.status().message());
+      }
       return Column::FromPacked(std::move(name), support,
                                 std::move(packed).value(),
                                 std::move(labels));

@@ -1,8 +1,6 @@
 #include "src/table/fingerprint.h"
 
-#include <algorithm>
 #include <string_view>
-#include <vector>
 
 namespace swope {
 
@@ -43,21 +41,18 @@ uint64_t TableFingerprint(const Table& table) {
   Hasher hasher;
   hasher.Add(table.num_rows());
   hasher.Add(static_cast<uint64_t>(table.num_columns()));
-  std::vector<ValueCode> scratch;
   for (const Column& column : table.columns()) {
     hasher.Add(column.name());
     hasher.Add(static_cast<uint64_t>(column.support()));
-    // Decode in chunks; the hash consumes codes in row order, so the
-    // fingerprint is a function of the logical values, not the packing.
-    const uint64_t rows = column.size();
-    scratch.resize(std::min<uint64_t>(rows, 4096));
-    for (uint64_t begin = 0; begin < rows; begin += scratch.size()) {
-      const uint64_t end = std::min<uint64_t>(rows, begin + scratch.size());
-      column.packed().Decode(begin, end, scratch.data());
-      for (uint64_t i = 0; i < end - begin; ++i) {
-        hasher.Add(static_cast<uint64_t>(scratch[i]));
-      }
-    }
+    // Every Column holds its codes at the canonical width for its
+    // support, with zero bits past the last code, so the payload words
+    // are a function of the codes: hashing them word by word covers the
+    // logical values without decoding one.
+    const PackedCodes& packed = column.packed();
+    hasher.Add(static_cast<uint64_t>(packed.width()));
+    const uint64_t* words = packed.data_words();
+    const uint64_t num_words = packed.num_data_words();
+    for (uint64_t i = 0; i < num_words; ++i) hasher.Add(words[i]);
     hasher.Add(static_cast<uint64_t>(column.labels().size()));
     for (const std::string& label : column.labels()) hasher.Add(label);
   }

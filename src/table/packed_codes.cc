@@ -76,6 +76,23 @@ constexpr auto kGatherKernels =
 constexpr auto kDecodeKernels =
     MakeDecodeTable(std::make_integer_sequence<uint32_t, 33>{});
 
+// Rejects a payload whose last word has a bit set past the final code.
+// Pack and Append never write there, so words read from a file are the
+// only way such bits get in; left in place, Append would OR the next
+// codes into them and the payload words would stop being a function of
+// the logical codes. A full last word has no tail to check.
+Status CheckZeroTail(uint64_t size, uint32_t width, const uint64_t* words) {
+  const uint32_t used_bits = static_cast<uint32_t>((size * width) & 63);
+  if (used_bits == 0) return Status::OK();
+  const uint64_t last = PackedCodes::NumDataWords(size, width) - 1;
+  if ((words[last] >> used_bits) != 0) {
+    return Status::InvalidArgument(
+        "packed codes: bits set past the last code in payload word " +
+        std::to_string(last));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 PackedCodes PackedCodes::Pack(const std::vector<ValueCode>& codes,
@@ -121,6 +138,7 @@ Result<PackedCodes> PackedCodes::FromWords(uint64_t size, uint32_t width,
         "packed codes: got " + std::to_string(words.size()) +
         " payload words, expected " + std::to_string(expect));
   }
+  SWOPE_RETURN_NOT_OK(CheckZeroTail(size, width, words.data()));
   if (expect > 0) words.push_back(0);  // in-memory padding word
   return PackedCodes(size, width, std::move(words));
 }
@@ -145,6 +163,7 @@ Result<PackedCodes> PackedCodes::BorrowWords(uint64_t size, uint32_t width,
     return Status::InvalidArgument(
         "packed codes: borrowed words must be 8-byte aligned");
   }
+  SWOPE_RETURN_NOT_OK(CheckZeroTail(size, width, words));
   return PackedCodes(size, width, words);
 }
 

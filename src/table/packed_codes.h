@@ -7,7 +7,11 @@
 // columnar-storage argument (Section 6.1) bite: the sampled prefix of
 // every column stays cache-resident. Values are stored little-endian
 // within consecutive uint64_t words; width 0 encodes a constant column
-// (support <= 1) with no payload at all.
+// (support <= 1) with no payload at all. The bits of the last payload
+// word past the final code are always zero (Pack and Append write none,
+// FromWords and BorrowWords reject any), so at a given width the payload
+// words are a function of the codes alone: TableFingerprint hashes them
+// directly, and Append can OR a tail into the last word.
 //
 // Batch decode goes through width-specialized kernels -- one template
 // instantiation per width, dispatched once per batch -- so the shift and
@@ -65,8 +69,9 @@ class PackedCodes {
                           uint32_t width);
 
   /// Reconstructs from serialized payload words (binary format v2).
-  /// Validates the width and word count; decoded values still need a
-  /// support check by the caller (Column::FromPacked).
+  /// Validates the width, the word count, and that no bit past the last
+  /// code is set; decoded values still need a support check by the
+  /// caller (Column::FromPacked).
   static Result<PackedCodes> FromWords(uint64_t size, uint32_t width,
                                        std::vector<uint64_t> words);
 
@@ -75,7 +80,8 @@ class PackedCodes {
   /// column path. The caller guarantees the pointed-at memory outlives
   /// this object (Column keeps the MappedFile alive) and that at least
   /// 8 bytes past the payload stay dereferenceable, standing in for the
-  /// padding word the owned layout appends (see docs/STORAGE.md).
+  /// padding word the owned layout appends (see docs/STORAGE.md). Rejects
+  /// a set bit past the last code, as FromWords does.
   static Result<PackedCodes> BorrowWords(uint64_t size, uint32_t width,
                                          const uint64_t* words);
 

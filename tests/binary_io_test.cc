@@ -205,6 +205,62 @@ TEST(BinaryIoTest, V2WidthMismatchIsCorruption) {
       << status.ToString();
 }
 
+// Ten width-3 codes fill bits 0-29 of one payload word; set bits 30-63
+// of it in the file. Neither loader may accept the image: CheckCodes
+// decodes only the ten real codes, so the dirty bits would survive into
+// the table, and the next Append would OR its codes into them -- codes
+// >= support that count past the end of a support-sized counter.
+TEST(BinaryIoTest, SetBitsPastLastCodeAreCorruption) {
+  auto column = Column::Make("w", 5, {0, 1, 2, 3, 4, 0, 1, 2, 3, 4});
+  ASSERT_TRUE(column.ok());
+  auto original = Table::Make({std::move(column).value()});
+  ASSERT_TRUE(original.ok());
+  ASSERT_EQ(original->column(0).packed().num_data_words(), 1u);
+  const uint64_t clean = original->column(0).packed().data_words()[0];
+  const uint64_t dirty = clean | (~uint64_t{0} << 30);
+  const std::string clean_bytes(reinterpret_cast<const char*>(&clean),
+                                sizeof(clean));
+  const std::string path = testing::TempDir() + "/swope_dirty_tail.swpb";
+  // Padded files take the mapped loader's borrowing path (BorrowWords),
+  // compact ones its heap copy (FromWords).
+  for (const bool page_align : {true, false}) {
+    SCOPED_TRACE(page_align ? "padded" : "compact");
+    std::stringstream buffer;
+    ASSERT_TRUE(
+        WriteBinaryTable(*original, buffer, {.page_align = page_align})
+            .ok());
+    std::string bytes = buffer.str();
+    const size_t at = bytes.find(clean_bytes);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(bytes.rfind(clean_bytes), at);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    {
+      auto clean_load = ReadBinaryTableFileMapped(path);
+      ASSERT_TRUE(clean_load.ok()) << clean_load.status().ToString();
+      EXPECT_EQ(clean_load->MappedBytes() > 0, page_align);
+    }
+
+    std::memcpy(&bytes[at], &dirty, sizeof(dirty));
+    std::stringstream heap(bytes);
+    const Status heap_status = ReadBinaryTable(heap).status();
+    EXPECT_TRUE(heap_status.IsCorruption()) << heap_status.ToString();
+    EXPECT_NE(heap_status.message().find("column 'w'"), std::string::npos)
+        << heap_status.ToString();
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    const Status mapped_status = ReadBinaryTableFileMapped(path).status();
+    EXPECT_TRUE(mapped_status.IsCorruption()) << mapped_status.ToString();
+    EXPECT_NE(mapped_status.message().find("column 'w'"), std::string::npos)
+        << mapped_status.ToString();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(BinaryIoTest, LyingRowCountIsCorruptionNotAllocation) {
   // A corrupt header claiming absurd row counts must fail upfront with
   // Corruption -- the reader validates the declared sizes against the

@@ -1,8 +1,10 @@
 // Streaming ingest through the engine: appended rows change the answer
 // without a full re-encode, the fingerprint rotates so cached results
-// for the old contents are never served, and the serve front end exposes
-// the whole flow (ingest op, sketch path report) as JSON.
+// for the old contents are never served (and equals the fingerprint of
+// the same rows built in one go), and the serve front end exposes the
+// whole flow (ingest op, sketch path report) as JSON.
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -10,7 +12,9 @@
 
 #include "src/engine/query_engine.h"
 #include "src/engine/serve.h"
+#include "src/table/binary_io.h"
 #include "src/table/column.h"
+#include "src/table/fingerprint.h"
 #include "src/table/table.h"
 #include "src/table/table_builder.h"
 
@@ -89,6 +93,53 @@ TEST(EngineIngestTest, AppendInvalidatesCacheAndUpdatesAnswers) {
   EXPECT_EQ(counters.ingest_rows, 300u);
   EXPECT_EQ(counters.queries_exact, 3u);
   EXPECT_EQ(counters.queries_sketch, 0u);
+}
+
+// The fingerprint an Ingest registers is a function of the rows alone:
+// it equals the fingerprint of the same rows built in one go, whether
+// the dataset was registered from the heap or from a mapped file. The
+// green rows take "color" from support 2 to 52 (a repack at a wider
+// width); "shape" keeps its width (copied words plus packed tail).
+TEST(EngineIngestTest, IngestedFingerprintEqualsOneShotBuild) {
+  std::vector<std::vector<std::string>> first, second;
+  for (int i = 0; i < 300; ++i) {
+    first.push_back(
+        {i % 10 == 0 ? "blue" : "red", i % 2 == 0 ? "disc" : "ring"});
+    second.push_back({"green" + std::to_string(i % 50), "disc"});
+  }
+  auto builder = TableBuilder::Make({"color", "shape"});
+  ASSERT_TRUE(builder.ok());
+  for (const auto* rows : {&first, &second}) {
+    for (const auto& row : *rows) ASSERT_TRUE(builder->AppendRow(row).ok());
+  }
+  auto one_shot = std::move(*builder).Finish();
+  ASSERT_TRUE(one_shot.ok());
+  const uint64_t expected = TableFingerprint(*one_shot);
+
+  const Table initial = MakeSmallTable();
+  const std::string path =
+      ::testing::TempDir() + "/engine_ingest_fingerprint.swpb";
+  ASSERT_TRUE(WriteBinaryTableFile(initial, path).ok());
+  for (const bool mapped : {false, true}) {
+    SCOPED_TRACE(mapped ? "mapped" : "heap");
+    QueryEngine engine;
+    if (mapped) {
+      ASSERT_TRUE(engine
+                      .RegisterDatasetFile("ds", path, /*max_support=*/0,
+                                           /*sketch_epsilon=*/0.0,
+                                           /*sketch_threshold=*/1000,
+                                           /*mmap=*/true)
+                      .ok());
+    } else {
+      ASSERT_TRUE(engine.RegisterDataset("ds", initial).ok());
+    }
+    ASSERT_TRUE(engine.Ingest("ds", second).ok());
+    auto dataset = engine.registry().Get("ds");
+    ASSERT_TRUE(dataset.ok());
+    EXPECT_EQ((*dataset)->fingerprint, expected);
+    EXPECT_EQ(TableFingerprint((*dataset)->table), expected);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(EngineIngestTest, IngestErrorsLeaveDatasetUntouched) {

@@ -2,7 +2,8 @@
 //  * CSV and binary round trips over randomly generated tables with
 //    hostile cell contents (quotes, delimiters, newlines, unicode bytes),
 //  * byte-level corruption of binary images must never crash and must
-//    surface as a non-OK status or a still-valid table,
+//    surface as a non-OK status or a still-valid table that also takes
+//    an append with every code in range,
 //  * sequential-sampling queries agree with their own reruns and satisfy
 //    the approximation contract on shuffled storage.
 
@@ -17,6 +18,7 @@
 #include "src/core/entropy.h"
 #include "src/core/swope_topk_entropy.h"
 #include "src/eval/accuracy.h"
+#include "src/table/append.h"
 #include "src/table/binary_io.h"
 #include "src/table/csv_reader.h"
 #include "src/table/csv_writer.h"
@@ -26,6 +28,28 @@
 
 namespace swope {
 namespace {
+
+// Every code of `table` is below its column's support.
+void ExpectCodesInRange(const Table& table) {
+  for (const Column& col : table.columns()) {
+    for (uint64_t r = 0; r < col.size(); ++r) {
+      ASSERT_LT(col.code(r), std::max<uint32_t>(col.support(), 1));
+    }
+  }
+}
+
+// A mutant that loads must also survive an append. Append copies the
+// payload words and ORs the new codes into the last one, so a set bit a
+// loader let through past the last code would show up here as a code
+// >= support.
+void ExpectAppendKeepsCodesInRange(const Table& table) {
+  if (table.num_columns() == 0) return;
+  auto appended = AppendRowsToTable(
+      table, {std::vector<std::string>(table.num_columns(), "0")});
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  ASSERT_EQ(appended->num_rows(), table.num_rows() + 1);
+  ExpectCodesInRange(*appended);
+}
 
 // A pool of hostile cell values.
 std::string RandomCell(Rng& rng) {
@@ -171,11 +195,8 @@ TEST(FuzzRoundTripTest, BinaryCorruptionNeverCrashes) {
     auto loaded = ReadBinaryTable(stream);  // must not crash or hang
     if (loaded.ok()) {
       // A surviving table must still be structurally valid.
-      for (const Column& col : loaded->columns()) {
-        for (uint64_t r = 0; r < col.size(); ++r) {
-          ASSERT_LT(col.code(r), std::max<uint32_t>(col.support(), 1));
-        }
-      }
+      ExpectCodesInRange(*loaded);
+      ExpectAppendKeepsCodesInRange(*loaded);
     }
   }
 }
@@ -308,11 +329,8 @@ TEST(FuzzRoundTripTest, MappedCorruptionNeverCrashes) {
     // mapping: every read is bounds-checked against ReadableBytes.
     auto loaded = ReadBinaryTableFileMapped(file.path());
     if (loaded.ok()) {
-      for (const Column& col : loaded->columns()) {
-        for (uint64_t r = 0; r < col.size(); ++r) {
-          ASSERT_LT(col.code(r), std::max<uint32_t>(col.support(), 1));
-        }
-      }
+      ExpectCodesInRange(*loaded);
+      ExpectAppendKeepsCodesInRange(*loaded);
     }
   }
 }

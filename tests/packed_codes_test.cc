@@ -1,13 +1,15 @@
 // Property tests for PackedCodes: every decode route (Get, Decode,
 // Gather, ToVector) must agree with a plain std::vector<uint32_t>
 // reference across random widths, width 0 (constant columns), exact
-// power-of-two supports, and empty sequences; FromWords must reject
-// malformed serialized payloads.
+// power-of-two supports, and empty sequences; FromWords and BorrowWords
+// must reject malformed serialized payloads.
 
 #include "src/table/packed_codes.h"
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -174,6 +176,60 @@ TEST(PackedCodesTest, FromWordsRejectsOverflowingSize) {
   EXPECT_FALSE(
       PackedCodes::FromWords(PackedCodes::MaxSizeForWidth(7) + 1, 7, {})
           .ok());
+}
+
+// The bits of the last payload word past the final code must be zero:
+// Append ORs the next codes into them, and TableFingerprint hashes the
+// words as they are. Both ways in for words read from a file check it.
+TEST(PackedCodesTest, SetBitPastLastCodeIsRejected) {
+  // (size, width) pairs whose last word is only partly used.
+  const std::pair<uint64_t, uint32_t> partial[] = {
+      {10, 3}, {10, 7}, {1, 1}, {63, 1}, {5, 13}, {3, 32}, {7, 8}};
+  for (const auto& [size, width] : partial) {
+    SCOPED_TRACE("size=" + std::to_string(size) +
+                 " width=" + std::to_string(width));
+    const uint32_t used_bits = static_cast<uint32_t>((size * width) % 64);
+    ASSERT_NE(used_bits, 0u);
+    const PackedCodes packed =
+        PackedCodes::Pack(RandomCodes(size, 1u << std::min(width, 31u), 5),
+                          width);
+    std::vector<uint64_t> words(packed.data_words(),
+                                packed.data_words() + packed.num_data_words());
+    // The clean payload is accepted by both ways in.
+    ASSERT_TRUE(PackedCodes::FromWords(size, width, words).ok());
+    words.push_back(0);  // the guard word BorrowWords may read
+    ASSERT_TRUE(PackedCodes::BorrowWords(size, width, words.data()).ok());
+    words.pop_back();
+    // One set bit anywhere past the last code is rejected.
+    for (uint32_t bit : {used_bits, (used_bits + 63) / 2, 63u}) {
+      std::vector<uint64_t> dirty = words;
+      dirty.back() |= uint64_t{1} << bit;
+      EXPECT_FALSE(PackedCodes::FromWords(size, width, dirty).ok())
+          << "bit " << bit;
+      dirty.push_back(0);
+      EXPECT_FALSE(PackedCodes::BorrowWords(size, width, dirty.data()).ok())
+          << "bit " << bit;
+    }
+  }
+}
+
+TEST(PackedCodesTest, FullLastWordHasNoTailToCheck) {
+  // size * width a multiple of 64: every bit of the last word is payload,
+  // so an all-ones word is a valid run of codes.
+  const std::pair<uint64_t, uint32_t> full[] = {
+      {64, 1}, {8, 8}, {64, 3}, {2, 32}, {128, 13}};
+  for (const auto& [size, width] : full) {
+    SCOPED_TRACE("size=" + std::to_string(size) +
+                 " width=" + std::to_string(width));
+    ASSERT_EQ((size * width) % 64, 0u);
+    std::vector<uint64_t> words(PackedCodes::NumDataWords(size, width),
+                                ~uint64_t{0});
+    auto owned = PackedCodes::FromWords(size, width, words);
+    ASSERT_TRUE(owned.ok()) << owned.status().ToString();
+    EXPECT_EQ(owned->Get(size - 1), (uint64_t{1} << width) - 1);
+    words.push_back(0);
+    EXPECT_TRUE(PackedCodes::BorrowWords(size, width, words.data()).ok());
+  }
 }
 
 TEST(PackedCodesTest, MemoryBytesCountsWordsIncludingPadding) {
