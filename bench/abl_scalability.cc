@@ -142,6 +142,7 @@ void Run(const BenchConfig& config) {
     options.seed = config.seed;
     options.sequential_sampling = true;
 
+    bench::WarmColumnCounts(dataset);
     Result<TopKResult> swope(Status::Internal("unset"));
     const Timing swope_time = TimeRepeated(config.reps, [&] {
       swope = SwopeTopKMi(dataset, target, 1, options);
@@ -173,6 +174,7 @@ void Run(const BenchConfig& config) {
         MakePresetTable(DatasetPreset::kCdc, SweepRows(config), config.seed);
     if (!made.ok()) std::exit(1);
     const Table dataset = made->DropHighSupportColumns(1000);
+    bench::WarmColumnCounts(dataset);
 
     QueryOptions options;
     options.seed = config.seed;

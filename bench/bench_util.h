@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/stopwatch.h"
 #include "src/datagen/dataset_presets.h"
 #include "src/eval/experiment.h"
 #include "src/eval/report.h"
@@ -74,6 +75,26 @@ inline std::vector<size_t> PickTargets(const Table& table, int count,
     targets.push_back((seed + 1 + static_cast<size_t>(i) * 37) % h);
   }
   return targets;
+}
+
+/// Computes every column's exact value counts (Column::ValueCounts), which
+/// an MI query otherwise computes on its first use of a table and keeps.
+/// Benches that time MI queries call this before their timed loops, so
+/// no timed query pays the one-time count. Returns its wall time in ms.
+inline double WarmColumnCounts(const Table& table) {
+  Stopwatch watch;
+  for (const Column& column : table.columns()) column.ValueCounts();
+  return watch.ElapsedMillis();
+}
+
+/// WarmColumnCounts, printed on its own line -- the figure benches'
+/// record of what the first MI query on `table` would pay on top.
+inline void WarmAndPrintColumnCounts(const Table& table) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.1f", WarmColumnCounts(table));
+  std::cout << "value counts: " << buffer << " ms, once per table ("
+            << table.num_columns() << " columns x " << table.num_rows()
+            << " rows)\n";
 }
 
 /// Prints one query's stage breakdown as its own `## <dataset>-stages`

@@ -22,6 +22,7 @@ void Run(const BenchConfig& config) {
   for (const auto& dataset : datasets) {
     std::cout << "## " << dataset.name << " (avg over " << config.targets
               << " targets)\n";
+    bench::WarmAndPrintColumnCounts(dataset.table);
     const auto targets =
         bench::PickTargets(dataset.table, config.targets, config.seed);
     // The exact scan cost does not depend on k; time it once per target.

@@ -24,6 +24,7 @@ void Run(const BenchConfig& config) {
   for (const auto& dataset : datasets) {
     std::cout << "## " << dataset.name << " (avg over " << config.targets
               << " targets)\n";
+    bench::WarmColumnCounts(dataset.table);
     const auto targets =
         bench::PickTargets(dataset.table, config.targets, config.seed);
 

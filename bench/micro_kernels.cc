@@ -83,8 +83,8 @@ void BM_PairCounterAddSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_PairCounterAddSparse);
 
-// The round-end pass MiScorer runs per candidate: joint entropy plus the
-// b-side column sums, over a counter holding 2^16 Zipf pairs.
+// The round-end pass MiScorer runs per candidate: the joint entropy,
+// over a counter holding 2^16 Zipf pairs.
 // Arg 0 = 64x64 dense counter (4096 cells); Arg 1 = the same pairs in a
 // hashed counter. items = occupied cells visited.
 void BM_PairCounterEntropy(benchmark::State& state) {
@@ -98,9 +98,8 @@ void BM_PairCounterEntropy(benchmark::State& state) {
   for (uint32_t i = 0; i < 64; ++i) {
     for (uint32_t j = 0; j < 64; ++j) occupied += counter.count(i, j) > 0;
   }
-  std::vector<uint64_t> column_sums(64);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(counter.SampleJointEntropy(column_sums.data()));
+    benchmark::DoNotOptimize(counter.SampleJointEntropy());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(
@@ -158,6 +157,29 @@ void BM_TableFingerprint(benchmark::State& state) {
       state.iterations() * table.num_rows() * table.num_columns()));
 }
 BENCHMARK(BM_TableFingerprint)->Unit(benchmark::kMillisecond);
+
+// The one-time count behind Column::ValueCounts, which a table's first MI
+// query pays: the fused decode-and-count kernel over every column of the
+// 200k-row cdc preset with the support > 1000 columns dropped (the
+// table shape of perfbench's mi_select, at twice its rows). The column
+// caches its counts, so this calls the kernel the cache runs.
+// items = codes.
+void BM_ColumnValueCounts(benchmark::State& state) {
+  auto made = MakePresetTable(DatasetPreset::kCdc, 200000);
+  if (!made.ok()) std::abort();
+  const Table table = made->DropHighSupportColumns(1000);
+  for (auto _ : state) {
+    for (const Column& column : table.columns()) {
+      std::vector<uint64_t> counts(column.support(), 0);
+      column.packed().CountValues(counts.data(), counts.size());
+      benchmark::DoNotOptimize(counts.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(
+      state.iterations() * table.num_rows() * table.num_columns()));
+}
+BENCHMARK(BM_ColumnValueCounts)->Unit(benchmark::kMillisecond);
 
 void BM_FlatHashMapIncrement(benchmark::State& state) {
   FlatHashMap<uint64_t, uint64_t> map(1 << 12);

@@ -54,6 +54,11 @@ LatencyResult RunClosedLoop(const std::string& path, bool mmap,
            .ok()) {
     std::exit(1);
   }
+  if (kind == QueryKind::kMiTopK) {
+    auto dataset = engine.registry().Get("d");
+    if (!dataset.ok()) std::exit(1);
+    bench::WarmColumnCounts((*dataset)->table);
+  }
 
   auto run_one = [&engine, kind](uint64_t seed) {
     QuerySpec spec;

@@ -17,7 +17,7 @@
 // in a loop; with a pool it runs them through ThreadPool::ParallelFor,
 // one iteration per candidate. The answer is byte-identical at any
 // thread count because
-//   (1) shared round state (the MI target counter) is absorbed serially in
+//   (1) shared round state (the MI target slice) is written serially in
 //       BeginRound before any candidate update,
 //   (2) a candidate's update touches only that candidate's state and
 //       absorbs the slice in permutation order, so each counter sees the
@@ -94,13 +94,14 @@ class Scorer {
   /// driver.
   size_t sketch_candidates() const { return sketch_candidates_; }
 
-  /// Union-bound multiplier: intervals derived per candidate per round
-  /// (1 for entropy; 3 for MI/NMI, which bound three entropies).
+  /// Union-bound multiplier: sampled intervals derived per candidate per
+  /// round (1 for entropy; for MI/NMI, 1 for the joint plus 1 per
+  /// sketched marginal side, see MiScorer).
   virtual double bounds_per_candidate() const = 0;
 
-  /// Counter cells touched per newly sampled row while `active` candidates
-  /// remain (entropy: one per candidate; MI/NMI: the shared target update
-  /// plus a marginal and a joint update per candidate).
+  /// Counter cells charged per newly sampled row while `active` candidates
+  /// remain (entropy: one per candidate; MI/NMI: the target value plus a
+  /// value and a pair per candidate, the paper's and Exact*'s unit).
   virtual uint64_t CellsPerRow(size_t active) const = 0;
 
   /// Fixes the query-wide constants before the first round.
@@ -110,7 +111,7 @@ class Scorer {
   }
 
   /// Absorbs order[begin..end) into candidate-independent shared state
-  /// (the MI/NMI target counter). Runs serially, once per round, before
+  /// (the MI/NMI target slice). Runs serially, once per round, before
   /// any UpdateCandidate of that round.
   virtual void BeginRound(const std::vector<uint32_t>& order, uint64_t begin,
                           uint64_t end, uint64_t m);

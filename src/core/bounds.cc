@@ -63,12 +63,36 @@ EntropyInterval MakeEntropyInterval(double sample_entropy,
   return interval;
 }
 
+namespace {
+
+// sum_v min(n_v, limit) over one column's counts.
+uint64_t SumOfMins(const std::vector<uint64_t>& counts, uint64_t limit) {
+  uint64_t sum = 0;
+  for (uint64_t count : counts) sum += std::min(count, limit);
+  return sum;
+}
+
+uint64_t Occurring(const std::vector<uint64_t>& counts) {
+  return static_cast<uint64_t>(std::count_if(
+      counts.begin(), counts.end(), [](uint64_t count) { return count > 0; }));
+}
+
+}  // namespace
+
+uint64_t JointSupportCap(const std::vector<uint64_t>& counts_a,
+                         const std::vector<uint64_t>& counts_b) {
+  return std::min(SumOfMins(counts_a, Occurring(counts_b)),
+                  SumOfMins(counts_b, Occurring(counts_a)));
+}
+
 MiInterval MakeMiInterval(const EntropyInterval& target,
                           const EntropyInterval& candidate,
                           const EntropyInterval& joint) {
   MiInterval interval;
   const double raw_lower = target.lower + candidate.lower - joint.upper;
-  const double raw_upper = target.upper + candidate.upper - joint.lower;
+  const double raw_upper =
+      std::min({target.upper, candidate.upper,
+                target.upper + candidate.upper - joint.lower});
   interval.lower = std::max(0.0, raw_lower);
   interval.upper = std::max(interval.lower, raw_upper);
   interval.slack = 2.0 * target.lambda + 2.0 * candidate.lambda +

@@ -22,6 +22,7 @@
 #define SWOPE_CORE_BOUNDS_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/common/result.h"
 
@@ -64,12 +65,32 @@ struct EntropyInterval {
 EntropyInterval MakeEntropyInterval(double sample_entropy, uint64_t support_cap,
                                     uint64_t n, uint64_t m, double p);
 
+/// A sound Lemma 1 support for the joint of two attributes over the same
+/// N records, from their exact value counts. A value of `a` that occurs
+/// n_a times co-occurs with at most min(d_b, n_a) distinct values of `b`,
+/// where d_b counts the b values that occur at all, and symmetrically, so
+/// the number of distinct pairs in D is at most
+///   min(sum_a min(d_b, n_a), sum_b min(d_a, n_b)).
+/// Each sum is at most N and at most d_a * d_b <= u_a * u_b, so the cap
+/// never exceeds the product support. Lemma 1's b grows with the support,
+/// so the bias it gives still bounds the joint's.
+uint64_t JointSupportCap(const std::vector<uint64_t>& counts_a,
+                         const std::vector<uint64_t>& counts_b);
+
+/// The degenerate interval of an entropy known exactly (a whole-column
+/// count, Column::Entropy): no deviation, no bias.
+inline EntropyInterval ExactEntropyInterval(double entropy) {
+  return {entropy, entropy, 0.0, 0.0, entropy};
+}
+
 /// A confidence interval for a mutual information score.
 struct MiInterval {
   double lower = 0.0;  ///< clamped to >= 0 (MI is non-negative)
   double upper = 0.0;
-  /// Total interval slack 6*lambda + b(a_t) + b(a) + b(a_t,a) used by the
-  /// Algorithm 3 stopping rule (b' in the paper).
+  /// Total interval slack 2*(lambda_t + lambda_a + lambda_ta) + b(a_t) +
+  /// b(a) + b(a_t,a) used by the Algorithm 3 stopping rule (b' in the
+  /// paper): 6*lambda + b(a_t) + b(a) + b(a_t,a) when all three entropies
+  /// are sampled, 2*lambda + b(a_t,a) when both marginals are exact.
   double slack = 0.0;
 
   double Estimate() const { return 0.5 * (lower + upper); }
@@ -79,7 +100,10 @@ struct MiInterval {
 /// Composes the MI interval I = H(t) + H(a) - H(t,a) from the three
 /// entropy intervals (Section 4.1):
 ///   I_lower = H_lower(t) + H_lower(a) - H_upper(t,a)
-///   I_upper = H_upper(t) + H_upper(a) - H_lower(t,a)
+///   I_upper = min(H_upper(t), H_upper(a), H_upper(t) + H_upper(a) -
+///                 H_lower(t,a))
+/// (I <= min(H(t), H(a)) always). An exact marginal enters as its
+/// ExactEntropyInterval, contributing neither deviation nor bias.
 MiInterval MakeMiInterval(const EntropyInterval& target,
                           const EntropyInterval& candidate,
                           const EntropyInterval& joint);

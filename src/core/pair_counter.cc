@@ -1,6 +1,5 @@
 #include "src/core/pair_counter.h"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -32,8 +31,7 @@ inline void AddXLog2X(uint64_t m, unsigned __int128& sum) {
 PairCounter::PairCounter(uint32_t support_a, uint32_t support_b,
                          uint64_t dense_limit,
                          std::pmr::memory_resource* memory)
-    : support_a_(support_a),
-      support_b_(support_b),
+    : support_b_(support_b),
       cells_(static_cast<uint64_t>(support_a) * support_b),
       dense_limit_(dense_limit),
       is_dense_(cells_ <= dense_limit && cells_ <= kImmediateDenseCells),
@@ -72,22 +70,14 @@ void PairCounter::MigrateToDense() {
   is_dense_ = true;
 }
 
-double PairCounter::SampleJointEntropy(uint64_t* b_counts) const {
-  if (b_counts != nullptr) std::fill_n(b_counts, support_b_, uint64_t{0});
+double PairCounter::SampleJointEntropy() const {
   unsigned __int128 sum = 0;
   if (is_dense_) {
-    const uint64_t* row = dense_.data();
-    for (uint32_t a = 0; a < support_a_; ++a, row += support_b_) {
-      if (b_counts != nullptr) {
-        for (uint32_t b = 0; b < support_b_; ++b) b_counts[b] += row[b];
-      }
-      for (uint32_t b = 0; b < support_b_; ++b) {
-        if (row[b] > 1) AddXLog2X(row[b], sum);
-      }
+    for (uint64_t m : dense_) {
+      if (m > 1) AddXLog2X(m, sum);
     }
   } else {
-    sparse_.ForEach([&](uint64_t key, uint64_t m) {
-      if (b_counts != nullptr) b_counts[key % support_b_] += m;
+    sparse_.ForEach([&](uint64_t /*key*/, uint64_t m) {
       if (m > 1) AddXLog2X(m, sum);
     });
   }

@@ -2,10 +2,9 @@
 // mutual-information analogue of FrequencyCounter.
 //
 // Holds only the counts of (code_a, code_b) pairs: the per-row hot path is
-// one increment. The sample joint entropy H_S(a, b), and optionally the
-// b-side marginal counts (the column sums), are computed from the counts
-// when a round's bounds are evaluated. That pass sums m_{ij} log2 m_{ij} in
-// 64.64 fixed point, so the result does not depend on the order in which
+// one increment. The sample joint entropy H_S(a, b) is computed from the
+// counts when a round's bounds are evaluated. That pass sums
+// m_{ij} log2 m_{ij} in 64.64 fixed point, so the result does not depend on the order in which
 // the layout visits its keys. Storage is adaptive: tiny domains use a dense
 // u_a*u_b array immediately; larger domains start with the open-addressing
 // FlatHashMap (an MI query builds one counter per candidate, and most
@@ -67,10 +66,7 @@ class PairCounter {
   }
 
   /// Sample joint entropy H_S(a, b) in bits, computed from the counts.
-  /// When `b_counts` is non-null it must hold support_b entries; they are
-  /// overwritten with the b-side marginal counts sum_i m_{ib}, which are
-  /// the counts a FrequencyCounter over the b codes would hold.
-  double SampleJointEntropy(uint64_t* b_counts = nullptr) const;
+  double SampleJointEntropy() const;
 
   /// Count of a specific pair (for tests).
   uint64_t count(ValueCode a, ValueCode b) const;
@@ -82,7 +78,6 @@ class PairCounter {
   void AddCodesSparse(const ValueCode* a, const ValueCode* b, uint64_t count);
   void MigrateToDense();
 
-  uint32_t support_a_;
   uint32_t support_b_;
   uint64_t cells_;
   uint64_t dense_limit_;

@@ -37,7 +37,7 @@ struct QueryStats {
   /// one of each per sampled row); the algorithm's dominant cost, in the
   /// paper's unit, comparable across SWOPE / baselines / Exact. An exact
   /// MI candidate physically increments only its joint counter (its
-  /// marginal is the joint's column sums) but is still charged both.
+  /// marginal entropy is exact) but is still charged both.
   uint64_t cells_scanned = 0;
   /// Candidates still undecided at termination (0 for filtering queries
   /// that classified everything).

@@ -7,7 +7,6 @@
 #include <cmath>
 #include <utility>
 
-#include "src/common/math.h"
 #include "src/obs/profiler.h"
 
 namespace swope {
@@ -15,9 +14,10 @@ namespace swope {
 namespace {
 
 // Composes the NMI interval from the MI interval and the two marginal
-// entropy intervals. When a marginal lower bound is 0 the upper bound is
-// vacuous (1); when a marginal upper bound is 0 the attribute is constant
-// and NMI is 0.
+// entropy intervals; for exact-path columns both are exact, and the
+// denominator is the exact sqrt(H(t) * H(a)). When a marginal lower bound
+// is 0 the upper bound is vacuous (1); when a marginal upper bound is 0
+// the attribute is constant and NMI is 0.
 ScoreInterval ComposeNmi(const MiInterval& mi, const EntropyInterval& target,
                          const EntropyInterval& candidate) {
   ScoreInterval interval;
@@ -135,18 +135,20 @@ MiScorer::MiScorer(const Table& table, size_t target,
       profiler_(options.profiler),
       target_view_(table.column(target)),
       views_(memory_),
-      target_counter_(UsesSketchPath(table.column(target).support(), options)
-                          ? 0
-                          : table.column(target).support(),
-                      memory_),
       target_slice_(memory_),
       counters_(memory_),
       scratch_(options.scratch != nullptr ? *options.scratch : own_scratch_) {
+  // Only exact-path columns are counted (Column::ValueCounts, computed on
+  // a column's first use and cached on it); a sketched side keeps a
+  // per-round sketch interval instead.
   const bool target_sketched =
       UsesSketchPath(target_col_.support(), options);
   if (target_sketched) {
     target_sketch_ = MakeScorerSketch(options, target, kSketchHeavyCapacity);
+  } else {
+    target_interval_ = ExactEntropyInterval(target_col_.Entropy());
   }
+  bool candidate_sketched = false;
   const size_t h = table.num_columns();
   columns_.reserve(h - 1);
   views_.reserve(h - 1);
@@ -154,33 +156,39 @@ MiScorer::MiScorer(const Table& table, size_t target,
   for (size_t j = 0; j < h; ++j) {
     if (j == target) continue;
     columns_.push_back(j);
-    views_.emplace_back(table.column(j));
-    const uint32_t support = table.column(j).support();
+    const Column& column = table.column(j);
+    views_.emplace_back(column);
+    const uint32_t support = column.support();
     const bool marginal_sketched = UsesSketchPath(support, options);
     // Assignments below move between equal-resource counters, so the
     // arena-built buffers are stolen, not copied.
     CandidateCounters counter(memory_);
+    if (marginal_sketched) {
+      counter.marginal_sketch =
+          MakeScorerSketch(options, j, kSketchHeavyCapacity);
+      candidate_sketched = true;
+    } else {
+      counter.marginal = ExactEntropyInterval(column.Entropy());
+    }
     if (target_sketched || marginal_sketched) {
       // The joint domain contains a sketched side, so it is counted
-      // through a sketch too (keyed (target_code << 32) | code), and the
-      // marginal is counted on its own.
+      // through a sketch too (keyed (target_code << 32) | code).
       counter.joint_sketch = MakeScorerSketch(options, kJointSaltBit | j,
                                               kSketchJointHeavyCapacity);
-      if (marginal_sketched) {
-        counter.marginal_sketch =
-            MakeScorerSketch(options, j, kSketchHeavyCapacity);
-      } else {
-        counter.marginal = FrequencyCounter(support, memory_);
-      }
+      counter.joint_support =
+          static_cast<uint64_t>(target_col_.support()) * support;
       ++sketch_candidates_;
     } else {
       counter.joint = PairCounter(target_col_.support(), support,
                                   options.dense_pair_limit, memory_);
-      counter.joint_marginal.resize(support);
+      counter.joint_support =
+          JointSupportCap(target_col_.ValueCounts(), column.ValueCounts());
     }
     counters_.push_back(std::move(counter));
   }
   intervals_.resize(columns_.size());
+  bounds_per_candidate_ = 1.0 + (target_sketched ? 1.0 : 0.0) +
+                          (candidate_sketched ? 1.0 : 0.0);
 }
 
 void MiScorer::BeginRound(const std::vector<uint32_t>& order, uint64_t begin,
@@ -192,25 +200,15 @@ void MiScorer::BeginRound(const std::vector<uint32_t>& order, uint64_t begin,
     StageTimer timer(profiler_, Stage::kGather);
     target_codes = target_view_.Gather(order, begin, end, target_slice_);
   }
-  if (target_sketch_ != nullptr) {
-    {
-      StageTimer timer(profiler_, Stage::kCount);
-      target_sketch_->AddCodes(target_codes, end - begin);
-    }
-    StageTimer timer(profiler_, Stage::kIntervalUpdate);
-    target_interval_ =
-        MakeSketchEntropyInterval(target_sketch_->Summarize(),
-                                  target_col_.support(), n_, m, p_iter_);
-  } else {
-    {
-      StageTimer timer(profiler_, Stage::kCount);
-      target_counter_.AddCodes(target_codes, end - begin);
-    }
-    StageTimer timer(profiler_, Stage::kIntervalUpdate);
-    target_interval_ =
-        MakeEntropyInterval(target_counter_.SampleEntropy(),
-                            target_col_.support(), n_, m, p_iter_);
+  if (target_sketch_ == nullptr) return;  // the target entropy is exact
+  {
+    StageTimer timer(profiler_, Stage::kCount);
+    target_sketch_->AddCodes(target_codes, end - begin);
   }
+  StageTimer timer(profiler_, Stage::kIntervalUpdate);
+  target_interval_ =
+      MakeSketchEntropyInterval(target_sketch_->Summarize(),
+                                target_col_.support(), n_, m, p_iter_);
 }
 
 MiInterval MiScorer::UpdateMi(size_t c, const std::vector<uint32_t>& order,
@@ -225,27 +223,18 @@ MiInterval MiScorer::UpdateMi(size_t c, const std::vector<uint32_t>& order,
     codes = view.Gather(order, begin, end, lease.buffer());
   }
   const uint64_t count = end - begin;
-  const uint64_t u_bar = static_cast<uint64_t>(target_col_.support()) *
-                         static_cast<uint64_t>(view.support());
-  EntropyInterval marginal_interval;
   EntropyInterval joint_interval;
   if (counter.joint_sketch == nullptr) {
-    // Exact joint: one increment per row. The round-end pass computes the
-    // joint entropy and the candidate's marginal counts (the joint's
-    // column sums) from the counts.
+    // Exact joint: one increment per row; the round-end pass computes the
+    // joint entropy from the counts.
     {
       StageTimer timer(profiler_, Stage::kCount);
       counter.joint.AddCodes(target_slice_.data(), codes, count);
     }
     StageTimer timer(profiler_, Stage::kIntervalUpdate);
-    std::pmr::vector<uint64_t>& marginal = counter.joint_marginal;
-    const double joint_entropy =
-        counter.joint.SampleJointEntropy(marginal.data());
-    const double marginal_entropy = EntropyFromCounts(
-        marginal.data(), marginal.size(), counter.joint.sample_count());
-    joint_interval = MakeEntropyInterval(joint_entropy, u_bar, n_, m, p_iter_);
-    marginal_interval = MakeEntropyInterval(
-        marginal_entropy, view.support(), n_, m, p_iter_);
+    joint_interval = MakeEntropyInterval(counter.joint.SampleJointEntropy(),
+                                         counter.joint_support, n_, m,
+                                         p_iter_);
   } else {
     if (counter.marginal_sketch != nullptr) {
       {
@@ -253,29 +242,22 @@ MiInterval MiScorer::UpdateMi(size_t c, const std::vector<uint32_t>& order,
         counter.marginal_sketch->AddCodes(codes, count);
       }
       StageTimer timer(profiler_, Stage::kIntervalUpdate);
-      marginal_interval =
+      counter.marginal =
           MakeSketchEntropyInterval(counter.marginal_sketch->Summarize(),
                                     view.support(), n_, m, p_iter_);
-    } else {
-      {
-        StageTimer timer(profiler_, Stage::kCount);
-        counter.marginal.AddCodes(codes, count);
-      }
-      StageTimer timer(profiler_, Stage::kIntervalUpdate);
-      marginal_interval = MakeEntropyInterval(
-          counter.marginal.SampleEntropy(), view.support(), n_, m, p_iter_);
     }
     {
       StageTimer timer(profiler_, Stage::kCount);
       counter.joint_sketch->AddPairs(target_slice_.data(), codes, count);
     }
     StageTimer timer(profiler_, Stage::kIntervalUpdate);
-    joint_interval = MakeSketchEntropyInterval(
-        counter.joint_sketch->Summarize(), u_bar, n_, m, p_iter_);
+    joint_interval =
+        MakeSketchEntropyInterval(counter.joint_sketch->Summarize(),
+                                  counter.joint_support, n_, m, p_iter_);
   }
-  if (marginal_out != nullptr) *marginal_out = marginal_interval;
+  if (marginal_out != nullptr) *marginal_out = counter.marginal;
   StageTimer timer(profiler_, Stage::kIntervalUpdate);
-  return MakeMiInterval(target_interval_, marginal_interval, joint_interval);
+  return MakeMiInterval(target_interval_, counter.marginal, joint_interval);
 }
 
 void MiScorer::UpdateCandidate(size_t c, const std::vector<uint32_t>& order,

@@ -2,19 +2,20 @@
 // (internal to src/core/ — see adaptive_sampling_driver.h).
 //
 //   EntropyScorer  one FrequencyCounter per column; Lemma 3 intervals.
-//   MiScorer       a shared target counter plus, per candidate, one joint
-//                  PairCounter whose column sums give the candidate's
-//                  marginal; Section 4.1 interval composition.
+//   MiScorer       per candidate, one joint PairCounter, the only sampled
+//                  quantity; the marginals H(t) and H(a) are exact, read
+//                  off each column's cached counts (Column::Entropy).
 //   NmiScorer      MiScorer's counters, with the MI interval normalized by
-//                  sqrt(H(t) * H(a)) bounds.
+//                  sqrt(H(t) * H(a)).
 //
 // Columns whose support exceeds QueryOptions::sketch_threshold take the
 // sketch-backed path when sketches are enabled: the exact counter is
 // replaced by a SketchFrequencyProvider and the interval by
 // MakeSketchEntropyInterval (src/core/sketch_estimation.h). The split is
 // per candidate, so one query can mix exact and sketched columns; MI/NMI
-// joints go through a sketch whenever either side does. docs/SKETCH.md
-// covers the estimator.
+// joints go through a sketch whenever either side does, and a sketched
+// marginal keeps its own sampled interval. docs/SKETCH.md covers the
+// estimator.
 //
 // This header is internal: outside src/core/, include the public
 // swope_*.h entry points instead. src/core/ TUs opt in by defining
@@ -80,17 +81,26 @@ class EntropyScorer : public Scorer {
 };
 
 /// Scores every non-target column by its mutual information with the
-/// target column.
+/// target column. For a candidate whose target and candidate are both on
+/// the exact path, the marginals are exact and only the joint is sampled:
+/// I lies in [H(t) + H(a) - H_upper(t,a),
+///            min(H(t), H(a), H(t) + H(a) - H_lower(t,a))]
+/// with slack b' = 2*lambda + b(t,a), where b(t,a) takes JointSupportCap
+/// over the two columns' counts as the joint's support (docs/THEORY.md).
 class MiScorer : public Scorer {
  public:
   MiScorer(const Table& table, size_t target, const QueryOptions& options);
 
-  double bounds_per_candidate() const override { return 3.0; }
+  /// The most sampled entropy intervals any candidate's MI interval
+  /// combines: its joint, plus the target's when the target is sketched,
+  /// plus its own marginal when any candidate is sketched.
+  double bounds_per_candidate() const override {
+    return bounds_per_candidate_;
+  }
   uint64_t CellsPerRow(size_t active) const override {
     // Target value plus, per candidate, one value and one pair absorbed
     // per row -- the unit of the paper and the Exact* stats, even though
-    // an exact candidate counts only its pair (its marginal is the
-    // joint's column sums).
+    // an exact candidate counts only its pair (its marginal is exact).
     return 1 + 2 * active;
   }
   void BeginRound(const std::vector<uint32_t>& order, uint64_t begin,
@@ -104,13 +114,15 @@ class MiScorer : public Scorer {
                       double epsilon) const override;
 
  protected:
-  /// Folds order[begin..end) into candidate `c`'s counters and returns the
-  /// composed MI interval at sample size `m`; also reports the candidate's
-  /// marginal entropy interval (the NMI normalization needs it).
+  /// Folds order[begin..end) into candidate `c`'s counters and returns its
+  /// MI interval at sample size `m`; also reports the candidate's marginal
+  /// entropy interval (the NMI normalization needs it).
   MiInterval UpdateMi(size_t c, const std::vector<uint32_t>& order,
                       uint64_t begin, uint64_t end, uint64_t m,
                       EntropyInterval* marginal_out);
 
+  /// The target's entropy: exact, or the target sketch's interval of the
+  /// current round.
   const EntropyInterval& target_interval() const { return target_interval_; }
 
   const Table& table_;
@@ -124,27 +136,25 @@ class MiScorer : public Scorer {
     /// Every container allocates from `memory` so an arena-backed query
     /// builds its whole candidate state in the arena.
     explicit CandidateCounters(std::pmr::memory_resource* memory)
-        : joint(0, 0, 1ULL << 20, memory),
-          joint_marginal(memory),
-          marginal(0, memory) {}
+        : joint(0, 0, 1ULL << 20, memory) {}
 
-    /// Exact joint: the only per-row counter. Its column sums are
-    /// written to `joint_marginal` (support entries) at each round end,
-    /// and the candidate's marginal entropy is computed from them.
+    /// Exact joint: the only per-row counter.
     PairCounter joint;
-    std::pmr::vector<uint64_t> joint_marginal;
+    /// Lemma 1 support of the joint: JointSupportCap of the two columns'
+    /// counts when both are on the exact path, else u_t * u_a.
+    uint64_t joint_support = 0;
+    /// The candidate's entropy: exact, or its marginal sketch's interval
+    /// of the current round.
+    EntropyInterval marginal;
     // Sketch path: the joint sketch is keyed (target_code << 32) | code
-    // and is engaged whenever either marginal is sketched; the candidate's
-    // marginal is then counted on its own, through `marginal_sketch` when
-    // the candidate is sketched and through `marginal` otherwise.
+    // and is engaged whenever either side is sketched; a sketched
+    // candidate also counts its marginal through `marginal_sketch`.
     std::unique_ptr<SketchFrequencyProvider> joint_sketch;
     std::unique_ptr<SketchFrequencyProvider> marginal_sketch;
-    FrequencyCounter marginal;
   };
 
   ColumnView target_view_;
   std::pmr::vector<ColumnView> views_;
-  FrequencyCounter target_counter_;
   std::unique_ptr<SketchFrequencyProvider> target_sketch_;
   EntropyInterval target_interval_;
   // The round's gathered target slice: target_slice_[i] is the target
@@ -153,6 +163,7 @@ class MiScorer : public Scorer {
   // happens-before edge).
   std::pmr::vector<ValueCode> target_slice_;
   std::pmr::vector<CandidateCounters> counters_;
+  double bounds_per_candidate_ = 1.0;
   // See EntropyScorer::scratch_.
   CodeScratchArena own_scratch_;
   CodeScratchArena& scratch_;

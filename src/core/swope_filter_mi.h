@@ -7,7 +7,8 @@
 //   1. I_upper - I_lower < 2*eps*eta -> decide by the midpoint estimate
 //   2. I_lower >= (1-eps)*eta        -> accept
 //   3. I_upper <  (1+eps)*eta        -> reject
-// with failure budget p_f / (3 * i_max * (h-1)).
+// The MI interval takes exact marginals and samples only the joint (see
+// swope_topk_mi.h), with failure budget p_f / (i_max * (h-1)).
 
 #ifndef SWOPE_CORE_SWOPE_FILTER_MI_H_
 #define SWOPE_CORE_SWOPE_FILTER_MI_H_

@@ -7,7 +7,8 @@
 // two marginal entropy intervals,
 //   NMI_lower = I_lower / sqrt(H_upper(t) * H_upper(a))
 //   NMI_upper = I_upper / sqrt(H_lower(t) * H_lower(a)),
-// clamped into [0, 1], and the stopping rule is the generalized
+// clamped into [0, 1]; exact-path marginals are exact, so both
+// denominators are sqrt(H(t) * H(a)). The stopping rule is the generalized
 // relative-width rule: stop once every attribute in the current top-k set
 // has (upper - lower) <= eps * upper, which implies both Definition 5
 // conditions by the same argument as Theorem 1.

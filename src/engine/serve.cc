@@ -24,8 +24,13 @@ std::string JsonDouble(double value) {
 struct ParsedRequest {
   std::string op;
   std::map<std::string, std::string> args;
+  /// Every `row=` value, in order: the one key that may repeat (an
+  /// ingest appends one row per occurrence).
+  std::vector<std::string> rows;
 };
 
+// Any key but `row` may appear once; a repeat is an error rather than a
+// silent last-one-wins.
 Result<ParsedRequest> ParseRequest(const std::string& line) {
   std::istringstream stream(line);
   ParsedRequest request;
@@ -37,7 +42,14 @@ Result<ParsedRequest> ParseRequest(const std::string& line) {
       return Status::InvalidArgument("malformed argument '" + token +
                                      "' (want key=value)");
     }
-    request.args[token.substr(0, eq)] = token.substr(eq + 1);
+    std::string key = token.substr(0, eq);
+    std::string value = token.substr(eq + 1);
+    if (key == "row") {
+      request.rows.push_back(std::move(value));
+    } else if (!request.args.emplace(key, std::move(value)).second) {
+      return Status::InvalidArgument("argument " + key +
+                                     " given more than once");
+    }
   }
   return request;
 }
@@ -93,16 +105,14 @@ std::vector<std::string> SplitRow(const std::string& text) {
   }
 }
 
-// Collects ingest rows from `row=` (one inline row) and/or `csv=` (a
-// headerless file, one comma-separated row per line; blank lines and
-// #-comments are skipped).
-Result<std::vector<std::vector<std::string>>> IngestRowsFromArgs(
-    const std::map<std::string, std::string>& args) {
+// Collects ingest rows from `row=` (one inline row each, in order) and/or
+// `csv=` (a headerless file, one comma-separated row per line; blank
+// lines and #-comments are skipped).
+Result<std::vector<std::vector<std::string>>> IngestRowsFromRequest(
+    const ParsedRequest& request) {
   std::vector<std::vector<std::string>> rows;
-  if (auto it = args.find("row"); it != args.end()) {
-    rows.push_back(SplitRow(it->second));
-  }
-  if (auto it = args.find("csv"); it != args.end()) {
+  for (const std::string& row : request.rows) rows.push_back(SplitRow(row));
+  if (auto it = request.args.find("csv"); it != request.args.end()) {
     std::ifstream file(it->second);
     if (!file) {
       return Status::IOError("ingest: cannot open '" + it->second + "'");
@@ -503,7 +513,7 @@ std::string HandleRequestLine(QueryEngine& engine, const std::string& line,
       return StatusToJson(
           Status::InvalidArgument("ingest: dataset=<id> is required"));
     }
-    auto rows = IngestRowsFromArgs(request->args);
+    auto rows = IngestRowsFromRequest(*request);
     if (!rows.ok()) return StatusToJson(rows.status());
     const Status status = engine.Ingest(name->second, *rows);
     if (!status.ok()) return StatusToJson(status);

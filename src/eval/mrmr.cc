@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/math.h"
 #include "src/core/frequency_counter.h"
 #include "src/core/pair_counter.h"
 #include "src/core/swope_topk_mi.h"
@@ -14,11 +13,11 @@ namespace swope {
 namespace {
 
 // Sample MI between two columns over the first m rows of `order`,
-// gathering both slices in chunks before counting. H(b) comes from the
-// joint's column sums.
+// gathering both slices in chunks before counting.
 double SampledMi(const Column& a, const Column& b,
                  const std::vector<uint32_t>& order, uint64_t m) {
   FrequencyCounter counter_a(a.support());
+  FrequencyCounter counter_b(b.support());
   PairCounter joint(a.support(), b.support());
   const ColumnView view_a(a);
   const ColumnView view_b(b);
@@ -31,13 +30,11 @@ double SampledMi(const Column& a, const Column& b,
     const ValueCode* cb = view_b.Gather(order, begin, end, scratch_b);
     const uint64_t count = end - begin;
     counter_a.AddCodes(ca, count);
+    counter_b.AddCodes(cb, count);
     joint.AddCodes(ca, cb, count);
   }
-  std::vector<uint64_t> counts_b(b.support());
-  const double joint_entropy = joint.SampleJointEntropy(counts_b.data());
-  const double mi = counter_a.SampleEntropy() +
-                    EntropyFromCounts(counts_b, joint.sample_count()) -
-                    joint_entropy;
+  const double mi = counter_a.SampleEntropy() + counter_b.SampleEntropy() -
+                    joint.SampleJointEntropy();
   return mi < 0.0 ? 0.0 : mi;
 }
 

@@ -42,8 +42,8 @@ enum class Stage : uint8_t {
   /// PairCounter AddCodes, sketch AddCodes/AddPairs).
   kCount,
   /// Round-end evaluation: entropies computed from the counts (including
-  /// PairCounter's joint pass and its column sums) or sketch summaries,
-  /// then lambda, Lemma-1 bias and interval composition.
+  /// PairCounter's joint pass) or sketch summaries, then lambda, Lemma-1
+  /// bias and interval composition.
   kIntervalUpdate,
   /// Waiting for an admission slot before the query could execute.
   kSchedulingWait,

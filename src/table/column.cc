@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/common/math.h"
+
 namespace swope {
 
 namespace {
@@ -132,17 +134,20 @@ std::string Column::LabelOf(ValueCode code) const {
   return std::to_string(code);
 }
 
-std::vector<uint64_t> Column::ValueCounts() const {
-  std::vector<uint64_t> counts(support_, 0);
-  std::vector<ValueCode> scratch(std::min<uint64_t>(codes_.size(), 4096));
-  for (uint64_t begin = 0; begin < codes_.size();
-       begin += scratch.size()) {
-    const uint64_t end =
-        std::min<uint64_t>(codes_.size(), begin + scratch.size());
-    codes_.Decode(begin, end, scratch.data());
-    for (uint64_t i = 0; i < end - begin; ++i) ++counts[scratch[i]];
-  }
-  return counts;
+const Column::CountsCache& Column::Counted() const {
+  std::call_once(counts_->once, [this] {
+    std::vector<uint64_t>& counts = counts_->counts;
+    counts.assign(support_, 0);
+    codes_.CountValues(counts.data(), counts.size());
+    counts_->entropy = EntropyFromCounts(counts, codes_.size());
+  });
+  return *counts_;
 }
+
+const std::vector<uint64_t>& Column::ValueCounts() const {
+  return Counted().counts;
+}
+
+double Column::Entropy() const { return Counted().entropy; }
 
 }  // namespace swope

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -111,9 +112,18 @@ class Column {
   /// is attached.
   std::string LabelOf(ValueCode code) const;
 
-  /// Per-value occurrence counts n_i over the whole column (length
-  /// support()).
-  std::vector<uint64_t> ValueCounts() const;
+  /// Exact per-value occurrence counts n_v over the whole column (length
+  /// support()). Computed on the first call, by one fused decode-and-count
+  /// pass (PackedCodes::CountValues), and kept: columns are immutable, so
+  /// the counts never go stale, and every copy of the column shares them.
+  /// Thread-safe; concurrent first calls count once. Not part of
+  /// MemoryBytes (docs/STORAGE.md).
+  const std::vector<uint64_t>& ValueCounts() const;
+
+  /// Exact empirical entropy H_D of the column in bits, computed from
+  /// ValueCounts() and cached with them. (ExactEntropy in
+  /// src/core/entropy.h is the Exact baseline's own full scan.)
+  double Entropy() const;
 
   /// True when a whole-column count-min summary rides along (built by
   /// AttachSketches or loaded from a v3 sidecar; see docs/SKETCH.md).
@@ -146,11 +156,23 @@ class Column {
         codes_(std::move(codes)),
         labels_(std::move(labels)) {}
 
+  /// The lazily computed whole-column statistics behind ValueCounts()
+  /// and Entropy().
+  struct CountsCache {
+    std::once_flag once;
+    std::vector<uint64_t> counts;
+    double entropy = 0.0;
+  };
+  const CountsCache& Counted() const;
+
   std::string name_;
   uint32_t support_ = 0;
   PackedCodes codes_;
   std::vector<std::string> labels_;
   std::shared_ptr<const CountMinSketch> sketch_;
+  /// Shared by copies, like the payload they copy; a column built by a
+  /// factory (an append included) starts with an empty cache of its own.
+  std::shared_ptr<CountsCache> counts_ = std::make_shared<CountsCache>();
   /// Keeps the region a borrowed payload points into alive (mmap path).
   std::shared_ptr<const void> backing_;
 };

@@ -53,9 +53,40 @@ void DecodeKernel(const uint64_t* words, uint64_t begin, uint64_t end,
   }
 }
 
+// Counts codes [0, size) into four partial arrays, one per position
+// mod 4: a run of equal codes then spreads its increments over four
+// counters instead of waiting on one. Codes go in blocks of 64, which
+// span exactly W words, so each code's word and shift within its block
+// are compile-time constants once the block loop is unrolled.
+template <uint32_t W>
+void CountKernel(const uint64_t* words, uint64_t size,
+                 uint64_t* const partials[4]) {
+  if constexpr (W == 0) {
+    partials[0][0] += size;  // a constant column: every code is 0
+  } else {
+    constexpr uint64_t kMask = (uint64_t{1} << W) - 1;
+    const uint64_t blocks = size / 64;
+    for (uint64_t b = 0; b < blocks; ++b) {
+      const uint64_t* block = words + b * W;
+#pragma GCC unroll 64
+      for (uint32_t j = 0; j < 64; ++j) {
+        const uint32_t bit = j * W;
+        const uint32_t shift = bit & 63;
+        uint64_t value = block[bit >> 6] >> shift;
+        if (shift + W > 64) value |= block[(bit >> 6) + 1] << (64 - shift);
+        ++partials[j & 3][value & kMask];
+      }
+    }
+    for (uint64_t i = blocks * 64; i < size; ++i) {
+      ++partials[i & 3][Extract<W>(words, i)];
+    }
+  }
+}
+
 using GatherFn = void (*)(const uint64_t*, const uint32_t*, uint64_t,
                           ValueCode*);
 using DecodeFn = void (*)(const uint64_t*, uint64_t, uint64_t, ValueCode*);
+using CountFn = void (*)(const uint64_t*, uint64_t, uint64_t* const[4]);
 
 template <uint32_t... Ws>
 constexpr std::array<GatherFn, sizeof...(Ws)> MakeGatherTable(
@@ -69,12 +100,20 @@ constexpr std::array<DecodeFn, sizeof...(Ws)> MakeDecodeTable(
   return {&DecodeKernel<Ws>...};
 }
 
+template <uint32_t... Ws>
+constexpr std::array<CountFn, sizeof...(Ws)> MakeCountTable(
+    std::integer_sequence<uint32_t, Ws...>) {
+  return {&CountKernel<Ws>...};
+}
+
 // One instantiation per width 0..32; dispatch is a single indexed call
 // per batch.
 constexpr auto kGatherKernels =
     MakeGatherTable(std::make_integer_sequence<uint32_t, 33>{});
 constexpr auto kDecodeKernels =
     MakeDecodeTable(std::make_integer_sequence<uint32_t, 33>{});
+constexpr auto kCountKernels =
+    MakeCountTable(std::make_integer_sequence<uint32_t, 33>{});
 
 // Rejects a payload whose last word has a bit set past the final code.
 // Pack and Append never write there, so words read from a file are the
@@ -176,6 +215,20 @@ void PackedCodes::Decode(uint64_t begin, uint64_t end,
 void PackedCodes::Gather(const uint32_t* order, uint64_t count,
                          ValueCode* out) const {
   kGatherKernels[width_](word_base(), order, count, out);
+}
+
+void PackedCodes::CountValues(uint64_t* counts, uint64_t num_counts) const {
+  if (size_ == 0) return;
+  // counts itself is the first partial array; the other three are
+  // summed into it at the end.
+  std::vector<uint64_t> extra(3 * num_counts, 0);
+  uint64_t* const partials[4] = {counts, extra.data(),
+                                 extra.data() + num_counts,
+                                 extra.data() + 2 * num_counts};
+  kCountKernels[width_](word_base(), size_, partials);
+  for (uint64_t v = 0; v < num_counts; ++v) {
+    counts[v] += partials[1][v] + partials[2][v] + partials[3][v];
+  }
 }
 
 std::vector<ValueCode> PackedCodes::ToVector() const {

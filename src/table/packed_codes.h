@@ -13,9 +13,10 @@
 // words are a function of the codes alone: TableFingerprint hashes them
 // directly, and Append can OR a tail into the last word.
 //
-// Batch decode goes through width-specialized kernels -- one template
-// instantiation per width, dispatched once per batch -- so the shift and
-// mask are compile-time constants and the inner loops stay branch-free.
+// Batch decode and whole-sequence counting go through width-specialized
+// kernels -- one template instantiation per width, dispatched once per
+// batch -- so the shift and mask are compile-time constants and the
+// inner loops stay branch-free.
 // docs/STORAGE.md documents the layout, the accessor contract, and the
 // byte-accounting rules built on top of it.
 
@@ -113,6 +114,13 @@ class PackedCodes {
   /// Decodes the `count` values at positions order[0..count) into `out`.
   /// Width-specialized; this is the sampled-prefix hot path.
   void Gather(const uint32_t* order, uint64_t count, ValueCode* out) const;
+
+  /// Adds each value's number of occurrences to `counts`: counts[v] +=
+  /// #{i : code i == v}. Every code must be < num_counts. A fused,
+  /// width-specialized decode-and-count pass: no code is written out,
+  /// and consecutive codes go to four interleaved partial arrays, so a
+  /// run of one value does not serialize on a single counter.
+  void CountValues(uint64_t* counts, uint64_t num_counts) const;
 
   /// Decodes everything into a fresh vector (tests / cold paths).
   std::vector<ValueCode> ToVector() const;

@@ -3,16 +3,20 @@
 // interval must contain the true empirical entropy in far more than a
 // 1 - p fraction of random permutations (the bound is conservative, so
 // observed coverage should be essentially 1; we assert the contractual
-// 1 - p). Section 4.1: the MI interval composes three entropy intervals,
-// each at failure probability p, so by the union bound it may miss the
-// exact MI in at most a 3p fraction.
+// 1 - p). Section 4.1: the paper's MI interval composes three sampled
+// entropy intervals, each at failure probability p, so by the union bound
+// it may miss the exact MI in at most a 3p fraction. The scorers' interval
+// takes both marginals exact and samples only the joint, whose support is
+// capped by JointSupportCap: one interval at p, so at most a p fraction.
 
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/common/math.h"
+#include "src/common/random.h"
 #include "src/core/bounds.h"
 #include "src/core/entropy.h"
 #include "src/core/frequency_counter.h"
@@ -113,7 +117,16 @@ TEST_P(MiBoundsCoverageTest, IntervalCoversExactMutualInformation) {
   const uint32_t u_t = target.support();
   const uint32_t u_a = candidate.support();
   const uint64_t m = param.sample_size;
+  // The exact marginals, from full counts, and the joint's capped support.
+  const EntropyInterval exact_target =
+      ExactEntropyInterval(ExactEntropy(target));
+  const EntropyInterval exact_candidate =
+      ExactEntropyInterval(ExactEntropy(candidate));
+  const uint64_t joint_support =
+      JointSupportCap(target.ValueCounts(), candidate.ValueCounts());
+  EXPECT_LE(joint_support, uint64_t{u_t} * u_a);
 
+  int paper_misses = 0;
   int misses = 0;
   for (int trial = 0; trial < kTrials; ++trial) {
     const auto order = ShuffledRowOrder(kRows, 7000 + trial);
@@ -123,29 +136,41 @@ TEST_P(MiBoundsCoverageTest, IntervalCoversExactMutualInformation) {
         ColumnView(target).Gather(order, 0, m, target_slice);
     const ValueCode* candidate_codes =
         ColumnView(candidate).Gather(order, 0, m, candidate_slice);
-    // The scorers' counting: the target through a FrequencyCounter, the
-    // candidate only through the joint, its marginal from the column sums.
     FrequencyCounter target_counter(u_t);
     target_counter.AddCodes(target_codes, m);
+    FrequencyCounter candidate_counter(u_a);
+    candidate_counter.AddCodes(candidate_codes, m);
     PairCounter joint(u_t, u_a);
     joint.AddCodes(target_codes, candidate_codes, m);
     EXPECT_EQ(joint.is_dense(), param.dense);
-    std::vector<uint64_t> marginal(u_a);
-    const double joint_entropy = joint.SampleJointEntropy(marginal.data());
+    const double joint_entropy = joint.SampleJointEntropy();
 
-    const MiInterval interval = MakeMiInterval(
+    // The paper's interval: three sampled entropies, u_bar = u_t * u_a.
+    const MiInterval paper = MakeMiInterval(
         MakeEntropyInterval(target_counter.SampleEntropy(), u_t, kRows, m,
                             kP),
-        MakeEntropyInterval(EntropyFromCounts(marginal, m), u_a, kRows, m,
+        MakeEntropyInterval(candidate_counter.SampleEntropy(), u_a, kRows, m,
                             kP),
         MakeEntropyInterval(joint_entropy, uint64_t{u_t} * u_a, kRows, m,
                             kP));
+    EXPECT_LE(paper.lower, paper.upper);
+    if (*truth < paper.lower - 1e-12 || *truth > paper.upper + 1e-12) {
+      ++paper_misses;
+    }
+
+    // The scorers' interval: exact marginals, one sampled joint.
+    const MiInterval interval = MakeMiInterval(
+        exact_target, exact_candidate,
+        MakeEntropyInterval(joint_entropy, joint_support, kRows, m, kP));
     EXPECT_LE(interval.lower, interval.upper);
+    EXPECT_LE(interval.Width(), paper.Width() + 1e-12);
     if (*truth < interval.lower - 1e-12 || *truth > interval.upper + 1e-12) {
       ++misses;
     }
   }
-  EXPECT_LE(misses, static_cast<int>(kTrials * 3 * kP))
+  EXPECT_LE(paper_misses, static_cast<int>(kTrials * 3 * kP))
+      << param.name << " truth=" << *truth;
+  EXPECT_LE(misses, static_cast<int>(kTrials * kP))
       << param.name << " truth=" << *truth;
 }
 
@@ -184,6 +209,42 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<MiCoverageCase>& param_info) {
       return param_info.param.name;
     });
+
+// JointSupportCap must never fall below the true number of distinct
+// pairs: random column pairs of assorted supports, skews, correlations
+// and lengths, including unoccupied dictionary slots and short tables.
+TEST(JointSupportCapTest, CapsTheDistinctPairCount) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 300; ++trial) {
+    const uint32_t u_t = 1 + static_cast<uint32_t>(rng.UniformU64(120));
+    const uint32_t u_a = 1 + static_cast<uint32_t>(rng.UniformU64(120));
+    const uint64_t rows = 1 + rng.UniformU64(4000);
+    CorrelatedPairSpec spec;
+    spec.x_dist = trial % 2 == 0 ? CategoricalDistribution::Uniform(u_t)
+                                 : CategoricalDistribution::Zipf(u_t, 1.2);
+    spec.y_noise = trial % 3 == 0 ? CategoricalDistribution::Uniform(u_a)
+                                  : CategoricalDistribution::Zipf(u_a, 0.9);
+    spec.rho = static_cast<double>(rng.UniformU64(11)) / 10.0;
+    auto pair = GenerateCorrelatedPair(spec, rows, 500 + trial);
+    ASSERT_TRUE(pair.ok());
+    const Column& target = pair->first;
+    const Column& candidate = pair->second;
+    std::set<std::pair<ValueCode, ValueCode>> distinct;
+    for (uint64_t row = 0; row < rows; ++row) {
+      distinct.emplace(target.code(row), candidate.code(row));
+    }
+    const uint64_t cap =
+        JointSupportCap(target.ValueCounts(), candidate.ValueCounts());
+    ASSERT_GE(cap, distinct.size())
+        << "trial " << trial << ": u_t=" << target.support()
+        << " u_a=" << candidate.support() << " rows=" << rows;
+    EXPECT_LE(cap, rows);
+    EXPECT_LE(cap, uint64_t{target.support()} * candidate.support());
+    // Symmetric in its arguments.
+    EXPECT_EQ(cap,
+              JointSupportCap(candidate.ValueCounts(), target.ValueCounts()));
+  }
+}
 
 }  // namespace
 }  // namespace swope

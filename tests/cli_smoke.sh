@@ -290,6 +290,8 @@ printf '%s\n' \
   "ingest dataset=big row=u7,v3" \
   "query dataset=big kind=entropy-topk k=2 sketch-epsilon=0.01" \
   "ingest dataset=big" \
+  "ingest dataset=big row=u7,v3 row=u8,v4 row=u7,v3" \
+  "query dataset=big kind=entropy-topk k=2 k=3" \
   "stats" \
   "quit" \
   | "$CLI" serve > "$TMP/sketch_serve.out" \
@@ -310,7 +312,13 @@ fi
 # ingest with no rows is an in-band error, not a crash
 grep -q '"ok":false,"code":"Invalid argument","error":"ingest:' \
   "$TMP/sketch_serve.out" || fail "empty ingest should fail in-band"
-grep -q '"ingest_rows":1' "$TMP/sketch_serve.out" || fail "stats ingest_rows"
+# repeated row= arguments each append a row; any other repeated key is an
+# in-band error
+grep -q '"ok":true,"op":"ingest","dataset":"big","appended":3,"rows":120004' \
+  "$TMP/sketch_serve.out" || fail "repeated row= should append every row"
+grep -q '"ok":false,"code":"Invalid argument","error":"argument k given more than once"' \
+  "$TMP/sketch_serve.out" || fail "a repeated k= should fail in-band"
+grep -q '"ingest_rows":4' "$TMP/sketch_serve.out" || fail "stats ingest_rows"
 grep -q '"queries_sketch":2' "$TMP/sketch_serve.out" \
   || fail "stats queries_sketch"
 sketch_bytes="$(grep -o '"sketch_bytes":[0-9]*' "$TMP/sketch_serve.out" \

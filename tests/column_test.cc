@@ -1,8 +1,17 @@
 #include "src/table/column.h"
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "src/common/math.h"
+#include "src/common/random.h"
+#include "src/core/entropy.h"
+#include "src/table/append.h"
 #include "src/table/column_view.h"
+#include "src/table/table.h"
 
 namespace swope {
 namespace {
@@ -141,6 +150,77 @@ TEST(ColumnTest, ValueCountsSumToSize) {
   EXPECT_EQ(counts[1], 2u);
   EXPECT_EQ(counts[2], 0u);
   EXPECT_EQ(counts[3], 3u);
+  EXPECT_EQ(column->Entropy(), EntropyFromCounts(counts, 6));
+}
+
+// A column with `rows` codes of support 37, skewed towards code 0.
+Column SkewedColumn(uint64_t rows, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<ValueCode> codes(rows);
+  for (ValueCode& code : codes) {
+    code = static_cast<ValueCode>(rng.UniformU64(3) == 0 ? rng.UniformU64(37)
+                                                         : 0);
+  }
+  return Column::Make("x", 37, std::move(codes)).value();
+}
+
+// Decode-and-count reference for the cached counts.
+std::vector<uint64_t> ReferenceCounts(const Column& column) {
+  std::vector<uint64_t> counts(column.support(), 0);
+  for (ValueCode code : column.codes()) ++counts[code];
+  return counts;
+}
+
+TEST(ColumnTest, CountsAreCachedAndSharedByCopies) {
+  const Column column = SkewedColumn(5000, 1);
+  const std::vector<uint64_t>& counts = column.ValueCounts();
+  EXPECT_EQ(counts, ReferenceCounts(column));
+  EXPECT_EQ(&column.ValueCounts(), &counts);  // computed once, kept
+  const Column copy = column;
+  EXPECT_EQ(&copy.ValueCounts(), &counts);
+  const Column with_sketch = column.WithSketch(nullptr);
+  EXPECT_EQ(&with_sketch.ValueCounts(), &counts);
+  EXPECT_DOUBLE_EQ(column.Entropy(), ExactEntropy(column));
+}
+
+TEST(ColumnTest, AppendedColumnCountsItself) {
+  // An append builds a new column; it must count its own codes, not
+  // inherit the parent's counts.
+  Table table = Table::Make({SkewedColumn(3000, 2)}).value();
+  ASSERT_EQ(table.column(0).ValueCounts()[5],
+            ReferenceCounts(table.column(0))[5]);
+  auto appended = AppendRowsToTable(table, {{"5"}, {"5"}, {"36"}});
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  const Column& grown = appended->column(0);
+  EXPECT_EQ(grown.ValueCounts(), ReferenceCounts(grown));
+  EXPECT_EQ(grown.ValueCounts()[5], table.column(0).ValueCounts()[5] + 2);
+}
+
+// Concurrent first requests for a fresh column's counts must count once
+// and hand every thread the same vector (CI runs this under TSan).
+TEST(ColumnTest, ConcurrentFirstCountsAgree) {
+  constexpr int kThreads = 8;
+  const Column column = SkewedColumn(200000, 3);
+  std::atomic<int> arrived{0};
+  std::vector<const std::vector<uint64_t>*> seen(kThreads, nullptr);
+  std::vector<double> entropies(kThreads, -1.0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Release every thread at once, so the first requests race.
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      seen[t] = &column.ValueCounts();
+      entropies[t] = column.Entropy();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const std::vector<uint64_t> reference = ReferenceCounts(column);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+    EXPECT_EQ(*seen[t], reference) << "thread " << t;
+    EXPECT_EQ(entropies[t], entropies[0]) << "thread " << t;
+  }
 }
 
 }  // namespace

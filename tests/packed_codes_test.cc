@@ -120,6 +120,31 @@ TEST(PackedCodesTest, RandomWidthsAgreeWithReferenceVector) {
   }
 }
 
+// The fused count kernel against a count over the reference vector, at
+// every width from 0 to 20 (count arrays of up to 2^20 entries) and at
+// sizes around the four-code batch, with skewed values so runs of one
+// value exercise the partial arrays.
+TEST(PackedCodesTest, CountValuesMatchesReferenceCount) {
+  Rng rng(4321);
+  for (uint32_t width = 0; width <= 20; ++width) {
+    const uint32_t support = width == 0 ? 1 : (1u << width) - (width > 1);
+    for (uint64_t size : {0, 1, 3, 4, 5, 63, 64, 65, 1027}) {
+      std::vector<ValueCode> codes(size);
+      for (ValueCode& code : codes) {
+        code = static_cast<ValueCode>(
+            rng.UniformU64(4) == 0 ? rng.UniformU64(support) : support - 1);
+      }
+      std::vector<uint64_t> reference(support, 0);
+      for (ValueCode code : codes) ++reference[code];
+      const PackedCodes packed = PackedCodes::Pack(codes, width);
+      std::vector<uint64_t> counts(support, 5);  // added to, not overwritten
+      packed.CountValues(counts.data(), counts.size());
+      for (uint64_t& count : counts) count -= 5;
+      ASSERT_EQ(counts, reference) << "width " << width << " size " << size;
+    }
+  }
+}
+
 TEST(PackedCodesTest, PowerOfTwoSupportsUseExactWidth) {
   for (uint32_t log2u : {1u, 2u, 3u, 8u, 16u}) {
     const uint32_t support = 1u << log2u;

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/math.h"
 #include "src/common/random.h"
 #include "src/core/entropy.h"
-#include "src/core/frequency_counter.h"
 #include "src/datagen/generator.h"
 #include "src/table/column_view.h"
 #include "src/table/shuffle.h"
@@ -146,53 +144,6 @@ TEST(PairCounterTest, AddCodesInBatchesMatchesOneShot) {
     for (uint32_t j = 0; j < 4; ++j) {
       EXPECT_EQ(batched.count(i, j), oneshot.count(i, j));
     }
-  }
-}
-
-TEST(PairCounterTest, ColumnSumsAreTheBMarginal) {
-  // In every layout -- dense from the start, hashed throughout, and hashed
-  // then migrated mid-batch -- the round-end pass must return the counts
-  // a FrequencyCounter over the b codes holds, so the marginal entropy
-  // computed from them is bit-identical.
-  constexpr uint64_t kRows = 6000;
-  auto a = GenerateColumn(ColumnSpec::Uniform("a", 96), kRows, 21);
-  auto b = GenerateColumn(ColumnSpec::Zipf("b", 90, 0.8), kRows, 22);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  const auto order = ShuffledRowOrder(kRows, 23);
-  std::vector<ValueCode> sa;
-  std::vector<ValueCode> sb;
-  const ValueCode* codes_a = ColumnView(*a).Gather(order, 0, kRows, sa);
-  const ValueCode* codes_b = ColumnView(*b).Gather(order, 0, kRows, sb);
-  FrequencyCounter marginal(90);
-  marginal.AddCodes(codes_b, kRows);
-
-  struct Layout {
-    const char* name;
-    uint32_t support_a;
-    uint64_t dense_limit;
-  };
-  // 96*90 cells > kImmediateDenseCells: the default limit migrates, a
-  // limit of 1 never does; 40*90 cells go dense at construction (codes
-  // of a are folded into [0, 40)).
-  for (const Layout& layout : {Layout{"migrated", 96, 1ULL << 20},
-                               Layout{"hashed", 96, 1},
-                               Layout{"dense", 40, 1ULL << 20}}) {
-    SCOPED_TRACE(layout.name);
-    PairCounter joint(layout.support_a, 90, layout.dense_limit);
-    std::vector<ValueCode> folded(codes_a, codes_a + kRows);
-    for (ValueCode& code : folded) code %= layout.support_a;
-    joint.AddCodes(folded.data(), codes_b, kRows);
-    EXPECT_EQ(joint.is_dense(), layout.dense_limit > 1);
-
-    std::vector<uint64_t> column_sums(90, 7);  // overwritten, not added to
-    const double joint_entropy = joint.SampleJointEntropy(column_sums.data());
-    EXPECT_EQ(joint_entropy, joint.SampleJointEntropy());
-    for (uint32_t v = 0; v < 90; ++v) {
-      EXPECT_EQ(column_sums[v], marginal.count(v)) << "value " << v;
-    }
-    EXPECT_EQ(EntropyFromCounts(column_sums, joint.sample_count()),
-              marginal.SampleEntropy());
   }
 }
 

@@ -68,7 +68,9 @@ void ExpectIdenticalItems(std::span<const AttributeScore> expected,
 // engine with a 4-thread intra-query pool, and returns one
 // representative answer per kind after asserting all copies agree
 // bitwise. Caching is disabled so every copy truly executes and races
-// the others for candidate tasks on the shared pool.
+// the others for candidate tasks on the shared pool. The tables are
+// registered fresh, so the first MI/NMI queries also race each other to
+// the first count of every column (Column::ValueCounts).
 std::vector<std::pmr::vector<AttributeScore>> RunBurst(PoolMode mode) {
   EngineConfig config;
   config.num_threads = 6;

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/table/append.h"
 #include "src/table/binary_io.h"
 #include "src/table/csv_writer.h"
+#include "src/table/fingerprint.h"
 #include "tests/test_util.h"
 
 namespace swope {
@@ -392,6 +394,44 @@ TEST(ServeTest, OutOfRangeAndNonBooleanArgumentsAreRejected) {
         "query dataset=ds kind=entropy-topk k=1 sequential=true"}) {
     EXPECT_EQ(Handle(engine, line).rfind("{\"ok\":true", 0), 0u) << line;
   }
+}
+
+// `row=` is the one argument that may repeat: each occurrence appends one
+// row, in order, with the same result as appending those rows in one go.
+// Any other repeated key is an in-band error, not a silent last-one-wins.
+TEST(ServeTest, RepeatedRowsAppendInOrderAndOtherRepeatsAreRejected) {
+  const Table table = MakeEntropyTable({5.0, 2.0}, 1500, 3);
+  QueryEngine engine;
+  ASSERT_TRUE(engine.RegisterDataset("ds", table).ok());
+  const std::string response =
+      Handle(engine, "ingest dataset=ds row=3,1 row=4,0 row=3,1");
+  EXPECT_EQ(response.rfind("{\"ok\":true,\"op\":\"ingest\"", 0), 0u)
+      << response;
+  EXPECT_NE(response.find("\"appended\":3"), std::string::npos) << response;
+  EXPECT_NE(response.find("\"rows\":1503"), std::string::npos) << response;
+  auto appended =
+      AppendRowsToTable(table, {{"3", "1"}, {"4", "0"}, {"3", "1"}});
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  EXPECT_NE(response.find("\"fingerprint\":" +
+                          std::to_string(TableFingerprint(*appended)) + "}"),
+            std::string::npos)
+      << response;
+
+  for (const char* line :
+       {"query dataset=ds kind=entropy-topk k=1 k=2",
+        "ingest dataset=ds row=3,1 dataset=ds"}) {
+    const std::string rejected = Handle(engine, line);
+    EXPECT_EQ(rejected.rfind("{\"ok\":false", 0), 0u) << line;
+    EXPECT_NE(rejected.find("\"code\":\"Invalid argument\""),
+              std::string::npos)
+        << line << " -> " << rejected;
+    EXPECT_NE(rejected.find("given more than once"), std::string::npos)
+        << line << " -> " << rejected;
+  }
+  // The rejected ingest appended nothing.
+  auto dataset = engine.registry().Get("ds");
+  ASSERT_TRUE(dataset.ok());
+  EXPECT_EQ((*dataset)->table.num_rows(), 1503u);
 }
 
 TEST(ServeTest, QuitStopsTheLoop) {

@@ -174,10 +174,10 @@ TEST(SketchEstimationTest, MiWithSketchedCandidateRuns) {
 }
 
 TEST(SketchEstimationTest, MiWithSketchedTargetCountsExactMarginals) {
-  // A sketched target routes every joint through a sketch, so the exact
-  // candidates count their marginals on their own (no joint column sums
-  // exist). i % 16 and i % 8 are functions of i % 4096, so they carry
-  // 4 and 3 bits about the target; i % 3 carries almost none.
+  // A sketched target routes every joint through a sketch, while the
+  // exact candidates enter with their exact marginal entropies. i % 16
+  // and i % 8 are functions of i % 4096, so they carry 4 and 3 bits
+  // about the target; i % 3 carries almost none.
   const uint64_t rows = 4096 * 4;
   std::vector<Column> columns;
   columns.push_back(UniformColumn("hc", 4096, rows));

@@ -103,6 +103,26 @@ TEST(SwopeTopKMiTest, TinyTableMatchesExactRanking) {
   EXPECT_EQ(result->items[0].index, best);
 }
 
+// A query that scans every row has exact marginals and a zero-width
+// joint interval, so each estimate is the exact MI: Exact*'s, up to the
+// rounding of its plain double joint sum (the scorer's is fixed point).
+TEST(SwopeTopKMiTest, ExhaustedEstimatesEqualExactMi) {
+  const Table table = MakeMiTable({0.9, 0.6, 0.3, 0.1, 0.0}, 6000, 21);
+  auto exact = ExactMutualInformations(table, 0);
+  ASSERT_TRUE(exact.ok());
+  QueryOptions options;
+  options.initial_sample_size = table.num_rows();  // one round at M = N
+  auto result = SwopeTopKMi(table, 0, table.num_columns() - 1, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->stats.exhausted_dataset);
+  ASSERT_EQ(result->items.size(), table.num_columns() - 1);
+  for (const AttributeScore& item : result->items) {
+    EXPECT_NEAR(item.estimate, (*exact)[item.index], 1e-12)
+        << "column " << item.index;
+    EXPECT_EQ(item.lower, item.upper) << "column " << item.index;
+  }
+}
+
 TEST(SwopeTopKMiTest, StatsCountJointWork) {
   const Table table = MakeMiTable({0.3, 0.7}, 20000, 9);
   auto result = SwopeTopKMi(table, 0, 1);
