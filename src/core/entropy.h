@@ -16,11 +16,6 @@ namespace swope {
 /// H_D(alpha): empirical entropy (bits) of a column over all its rows.
 double ExactEntropy(const Column& column);
 
-/// H_D(alpha) restricted to the first `m` rows of the column's stored
-/// order; requires m <= column.size(). Used by tests to cross-check the
-/// incremental counter.
-double ExactEntropyPrefix(const Column& column, uint64_t m);
-
 /// H_D(alpha1, alpha2): empirical joint entropy (bits). Columns must have
 /// equal length. Uses a dense joint table when u1*u2 is small and a hash
 /// map otherwise.

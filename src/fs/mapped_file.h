@@ -13,7 +13,7 @@
 // zero-fills the tail of the final page, so ReadableBytes() -- size()
 // rounded up to the page size -- bytes are dereferenceable. The
 // borrowed-words loader leans on that slack for the decode kernels'
-// unconditional two-word reads (see BorrowGuardBytes in binary_io.cc).
+// unconditional two-word reads (see kTrailingGuardBytes in binary_io.cc).
 
 #ifndef SWOPE_FS_MAPPED_FILE_H_
 #define SWOPE_FS_MAPPED_FILE_H_

@@ -19,10 +19,10 @@
 // zero bytes -- sits where the width byte otherwise starts. 0xA7 cannot
 // be a width (widths are <= 32), so one-byte lookahead disambiguates and
 // a single reader accepts padded and legacy images alike. Writers emit
-// it (by default) to page-align each non-empty column payload so the
-// mmap load path can borrow packed words straight out of the mapping;
-// padded files additionally end with 8 guard bytes so the borrowed
-// two-word decode reads stay inside the mapping.
+// it (by default) to start each non-empty column payload on a 4096-byte
+// boundary so the mmap load path can borrow packed words straight out of
+// the mapping; padded files additionally end with 8 guard bytes so the
+// borrowed two-word decode reads stay inside the mapping.
 //
 // Version 2 stores each column's codes bit-packed at the canonical width
 // ceil(log2(support)) -- the exact in-memory representation
@@ -63,12 +63,10 @@ inline constexpr uint32_t kBinaryTableVersionV3 = 3;
 /// Write-side knobs. Defaults produce mmap-friendly files; set
 /// page_align to false to reproduce the pre-padding byte layout.
 struct BinaryWriteOptions {
-  /// Page-align every non-empty column payload with a padding run so the
-  /// mmap load path can borrow packed words in place. Readers accept
-  /// padded and unpadded images alike.
+  /// Start every non-empty column payload on a 4096-byte boundary with a
+  /// padding run so the mmap load path can borrow packed words in place.
+  /// Readers accept padded and unpadded images alike.
   bool page_align = true;
-  /// Alignment of padded payloads, in bytes.
-  uint64_t alignment = 4096;
 };
 
 /// Serializes `table` to the binary column-store format: version 3 when
@@ -78,22 +76,31 @@ Status WriteBinaryTable(const Table& table, std::ostream& output,
 Status WriteBinaryTableFile(const Table& table, const std::string& path,
                             const BinaryWriteOptions& options = {});
 
-/// Deserializes a table; validates the magic, version and all structural
-/// invariants (code ranges, packed widths, label counts, sketch shapes
-/// and counter sums), returning Corruption on any mismatch. Reads
-/// versions 1, 2 and 3.
+// The three loaders below share one parser, which reads versions 1, 2
+// and 3, checks every declared size against the image's size before
+// reading or allocating for it, and validates all structural invariants
+// (code ranges, packed widths, the zero tail, label counts, sketch shapes
+// and counter sums). A corrupt or truncated image returns Corruption,
+// with the same message from every loader.
+
+/// Reads the rest of `input` into a buffer and parses it. The table owns
+/// all its bytes.
 Result<Table> ReadBinaryTable(std::istream& input);
+
+/// Maps `path`, which must be a regular file (IOError otherwise), copies
+/// the table out of the mapping and unmaps it before returning: the table
+/// owns all its bytes (Table::MappedBytes() is 0), and the file may be
+/// truncated or rewritten while the table lives.
 Result<Table> ReadBinaryTableFile(const std::string& path);
 
-/// Loads a table by memory-mapping `path` instead of streaming it. Runs
-/// the same structural validation as ReadBinaryTableFile; column
-/// payloads that sit 8-byte aligned in the file with the trailing read
-/// guard intact (any payload written with BinaryWriteOptions::page_align)
-/// are borrowed straight from the mapping -- the returned table's
+/// Maps `path`, which must be a regular file (IOError otherwise), and
+/// keeps the mapping: column payloads that sit 8-byte aligned in the file
+/// with the trailing read guard intact (any payload written with
+/// BinaryWriteOptions::page_align) are borrowed straight from it. Those
 /// columns keep the MappedFile alive, and their bytes count as
-/// Table::MappedBytes() rather than MemoryBytes(). Unaligned legacy
-/// payloads, label dictionaries, and sketch sidecars are copied to the
-/// heap; v1 files fall back to the owned loader entirely.
+/// Table::MappedBytes() rather than MemoryBytes(). Unaligned legacy and
+/// v1 payloads, label dictionaries, and sketch sidecars are copied to the
+/// heap.
 Result<Table> ReadBinaryTableFileMapped(const std::string& path);
 
 }  // namespace swope

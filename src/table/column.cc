@@ -92,11 +92,14 @@ Column Column::FromCodes(std::string name, std::vector<ValueCode> codes) {
 
 Result<Column> Column::FromPacked(std::string name, uint32_t support,
                                   PackedCodes packed,
-                                  std::vector<std::string> labels) {
+                                  std::vector<std::string> labels,
+                                  std::shared_ptr<const void> backing) {
   SWOPE_RETURN_NOT_OK(CheckShape(name, support, packed, labels));
   SWOPE_RETURN_NOT_OK(CheckCodes(name, support, packed));
-  return Column(std::move(name), support, std::move(packed),
+  Column column(std::move(name), support, std::move(packed),
                 std::move(labels));
+  column.backing_ = std::move(backing);
+  return column;
 }
 
 Result<Column> Column::FromPackedTrusted(
@@ -107,17 +110,6 @@ Result<Column> Column::FromPackedTrusted(
   Column column(std::move(name), support, std::move(packed),
                 std::move(labels));
   column.sketch_ = std::move(sketch);
-  return column;
-}
-
-Result<Column> Column::FromPackedBacked(std::string name, uint32_t support,
-                                        PackedCodes packed,
-                                        std::vector<std::string> labels,
-                                        std::shared_ptr<const void> backing) {
-  SWOPE_ASSIGN_OR_RETURN(Column column,
-                         FromPacked(std::move(name), support,
-                                    std::move(packed), std::move(labels)));
-  column.backing_ = std::move(backing);
   return column;
 }
 

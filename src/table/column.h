@@ -44,10 +44,15 @@ class Column {
 
   /// Factory over an already-packed contiguous payload (binary format
   /// v2). Requires the canonical width for `support`, validates every
-  /// decoded code against it, and then takes the payload as is.
+  /// decoded code against it, and then takes the payload as is. A
+  /// payload borrowed from an externally owned region
+  /// (PackedCodes::BorrowWords, the mmap load path) passes that region's
+  /// keep-alive as `backing` (typically the MappedFile), which the column
+  /// holds for its life.
   static Result<Column> FromPacked(std::string name, uint32_t support,
                                    PackedCodes packed,
-                                   std::vector<std::string> labels = {});
+                                   std::vector<std::string> labels = {},
+                                   std::shared_ptr<const void> backing = {});
 
   /// Trusted variant for the append path (src/table/append.h): still
   /// checks the width and label invariants, but skips FromPacked's
@@ -59,15 +64,6 @@ class Column {
       std::string name, uint32_t support, PackedCodes packed,
       std::vector<std::string> labels,
       std::shared_ptr<const CountMinSketch> sketch);
-
-  /// Factory for the mmap load path: same per-code validation scan as
-  /// FromPacked, over a borrowed payload (PackedCodes::BorrowWords) that
-  /// lives in an externally owned region. `backing` (typically the
-  /// MappedFile) is held for the life of the column.
-  static Result<Column> FromPackedBacked(std::string name, uint32_t support,
-                                         PackedCodes packed,
-                                         std::vector<std::string> labels,
-                                         std::shared_ptr<const void> backing);
 
   Column() = default;
 

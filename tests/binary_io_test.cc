@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/table/fingerprint.h"
 #include "src/table/table_builder.h"
 
 namespace swope {
@@ -366,6 +367,45 @@ TEST(BinaryIoTest, MissingFileIsIOError) {
       ReadBinaryTableFile("/no/such/file.swpb").status().IsIOError());
 }
 
+TEST(BinaryIoTest, DirectoryIsIOErrorFromBothFileLoaders) {
+  const Status heap = ReadBinaryTableFile(testing::TempDir()).status();
+  EXPECT_TRUE(heap.IsIOError()) << heap.ToString();
+  const Status mapped =
+      ReadBinaryTableFileMapped(testing::TempDir()).status();
+  EXPECT_TRUE(mapped.IsIOError()) << mapped.ToString();
+  EXPECT_EQ(heap.ToString(), mapped.ToString());
+}
+
+// The heap loader owns every byte of its table: it borrows nothing from
+// the file, so truncating and rewriting the file under a live table
+// (WriteBinaryTableFile truncates its target) changes none of its codes,
+// labels or fingerprint. A table that still read from a mapping of that
+// file would fault or change here.
+TEST(BinaryIoTest, HeapLoadOwnsItsBytesAfterTheFileChanges) {
+  const Table original = SampleTable();
+  const std::string path = testing::TempDir() + "/swope_heap_owned.swpb";
+  ASSERT_TRUE(WriteBinaryTableFile(original, path).ok());
+  auto loaded = ReadBinaryTableFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->MappedBytes(), 0u);
+  const uint64_t fingerprint = TableFingerprint(*loaded);
+  EXPECT_EQ(fingerprint, TableFingerprint(original));
+
+  auto other = Column::Make("x", 5, {4, 1, 3, 0, 0});
+  ASSERT_TRUE(other.ok());
+  auto replacement = Table::Make({std::move(other).value()});
+  ASSERT_TRUE(replacement.ok());
+  ASSERT_TRUE(WriteBinaryTableFile(*replacement, path).ok());
+
+  ASSERT_EQ(loaded->num_columns(), original.num_columns());
+  for (size_t c = 0; c < original.num_columns(); ++c) {
+    EXPECT_EQ(loaded->column(c).codes(), original.column(c).codes());
+    EXPECT_EQ(loaded->column(c).labels(), original.column(c).labels());
+  }
+  EXPECT_EQ(TableFingerprint(*loaded), fingerprint);
+  std::remove(path.c_str());
+}
+
 TEST(BinaryIoTest, PaddedImageHasMarkerAndRoundTrips) {
   const Table original = SampleTable();
   std::stringstream buffer;
@@ -387,7 +427,7 @@ TEST(BinaryIoTest, PaddedImageHasMarkerAndRoundTrips) {
 
 TEST(BinaryIoTest, PaddedWriteAlignsEveryPayload) {
   // Wide-ish column so the payload spans multiple words; every non-empty
-  // payload must start on the requested alignment boundary.
+  // payload must start on a 4096-byte boundary.
   std::vector<ValueCode> codes(1000);
   for (size_t i = 0; i < codes.size(); ++i) {
     codes[i] = static_cast<ValueCode>(i % 700);
@@ -400,8 +440,7 @@ TEST(BinaryIoTest, PaddedWriteAlignsEveryPayload) {
       {std::move(column).value(), std::move(narrow).value()});
   ASSERT_TRUE(original.ok());
   std::stringstream buffer;
-  ASSERT_TRUE(
-      WriteBinaryTable(*original, buffer, {.alignment = 512}).ok());
+  ASSERT_TRUE(WriteBinaryTable(*original, buffer).ok());
   const std::string bytes = buffer.str();
   std::stringstream reread(bytes);
   auto loaded = ReadBinaryTable(reread);
@@ -410,14 +449,14 @@ TEST(BinaryIoTest, PaddedWriteAlignsEveryPayload) {
   EXPECT_EQ(loaded->column(1).codes(), original->column(1).codes());
   // Locate each padding run and check the byte after it (the width byte,
   // i.e. payload start minus one... payload starts right after width) is
-  // positioned so the payload lands on a 512-byte boundary.
+  // positioned so the payload lands on a 4096-byte boundary.
   size_t runs = 0;
   for (size_t i = 20; i + 5 < bytes.size(); ++i) {
     if (static_cast<unsigned char>(bytes[i]) != 0xA7) continue;
     uint32_t pad = 0;
     std::memcpy(&pad, &bytes[i + 1], sizeof(pad));
     const size_t payload_start = i + 5 + pad + 1;  // run + width byte
-    if (payload_start <= bytes.size() && payload_start % 512 == 0) {
+    if (payload_start <= bytes.size() && payload_start % 4096 == 0) {
       ++runs;
       i += 4 + pad;
     }

@@ -36,14 +36,6 @@ TEST(EntropyTest, BiasedBinaryMatchesFormula) {
               1e-12);
 }
 
-TEST(EntropyTest, PrefixEntropy) {
-  const Column c = Col("x", 2, {0, 0, 1, 1});
-  EXPECT_EQ(ExactEntropyPrefix(c, 0), 0.0);
-  EXPECT_EQ(ExactEntropyPrefix(c, 2), 0.0);          // 0,0
-  EXPECT_NEAR(ExactEntropyPrefix(c, 3), BinaryEntropy(1.0 / 3.0), 1e-12);
-  EXPECT_NEAR(ExactEntropyPrefix(c, 4), 1.0, 1e-12);
-}
-
 TEST(EntropyTest, JointEntropyIndependentUniform) {
   // a cycles 0101..., b cycles 0011... over 4 rows -> joint uniform on 4
   // combos.

@@ -1,9 +1,10 @@
 // Randomized robustness suites:
 //  * CSV and binary round trips over randomly generated tables with
 //    hostile cell contents (quotes, delimiters, newlines, unicode bytes),
-//  * byte-level corruption of binary images must never crash and must
-//    surface as a non-OK status or a still-valid table that also takes
-//    an append with every code in range,
+//  * byte-level corruption and truncation of binary images, sent through
+//    all three loaders (stream, heap file, mapped file), must never crash,
+//    and the loaders must agree: the same non-OK status, or equal tables
+//    that are still valid and take an append with every code in range,
 //  * sequential-sampling queries agree with their own reruns and satisfy
 //    the approximation contract on shuffled storage.
 
@@ -60,6 +61,77 @@ void ExpectAppendKeepsCodesInRange(const Table& table) {
       ASSERT_EQ(col.code(r), last) << "column " << col.name() << " row " << r;
     }
   }
+}
+
+// `actual` holds the same columns as `expected`: names, supports, codes,
+// labels and sketch sidecars.
+void ExpectSameTable(const Table& actual, const Table& expected) {
+  ASSERT_EQ(actual.num_rows(), expected.num_rows());
+  ASSERT_EQ(actual.num_columns(), expected.num_columns());
+  for (size_t c = 0; c < expected.num_columns(); ++c) {
+    const Column& a = actual.column(c);
+    const Column& e = expected.column(c);
+    EXPECT_EQ(a.name(), e.name());
+    EXPECT_EQ(a.support(), e.support());
+    EXPECT_EQ(a.codes(), e.codes());
+    EXPECT_EQ(a.labels(), e.labels());
+    ASSERT_EQ(a.has_sketch(), e.has_sketch());
+    if (!e.has_sketch()) continue;
+    ASSERT_TRUE(a.sketch()->SameShape(*e.sketch()));
+    EXPECT_EQ(a.sketch()->seed(), e.sketch()->seed());
+    EXPECT_EQ(a.sketch()->total_count(), e.sketch()->total_count());
+    EXPECT_EQ(std::memcmp(a.sketch()->counters(), e.sketch()->counters(),
+                          e.sketch()->num_counters() * sizeof(uint64_t)),
+              0);
+  }
+}
+
+class ScopedImageFile {
+ public:
+  explicit ScopedImageFile(const std::string& bytes)
+      : path_(::testing::TempDir() + "/fuzz_image_" +
+              std::to_string(reinterpret_cast<uintptr_t>(this)) + ".swpb") {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    EXPECT_TRUE(out.good());
+  }
+  ~ScopedImageFile() { std::remove(path_.c_str()); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+// Loads `image` through all three entry points -- ReadBinaryTable on an
+// in-memory stream, ReadBinaryTableFile and ReadBinaryTableFileMapped on
+// a file -- and expects them to agree: the same status code and message,
+// or equal tables. Every table that loads must keep its codes in range
+// and take an append. The mapped loader borrows padded payloads, so its
+// zero-tail and bounds checks are the ones a corrupt file reaches there.
+// Returns the mapped load.
+Result<Table> LoadAllWays(const std::string& image) {
+  std::stringstream stream(image);
+  Result<Table> streamed = ReadBinaryTable(stream);
+  ScopedImageFile file(image);
+  Result<Table> heap = ReadBinaryTableFile(file.path());
+  Result<Table> mapped = ReadBinaryTableFileMapped(file.path());
+  for (const Result<Table>* other : {&heap, &mapped}) {
+    EXPECT_EQ(other->status().code(), streamed.status().code())
+        << other->status().ToString() << " vs "
+        << streamed.status().ToString();
+    EXPECT_EQ(other->status().message(), streamed.status().message());
+  }
+  for (const Result<Table>* loaded : {&streamed, &heap, &mapped}) {
+    if (!loaded->ok()) continue;
+    ExpectCodesInRange(**loaded);
+    ExpectAppendKeepsCodesInRange(**loaded);
+  }
+  if (streamed.ok() && heap.ok() && mapped.ok()) {
+    EXPECT_EQ(heap->MappedBytes(), 0u);
+    ExpectSameTable(*heap, *streamed);
+    ExpectSameTable(*mapped, *streamed);
+  }
+  return mapped;
 }
 
 // The offsets of the bytes a loader reads in `image`, a v2 image from
@@ -185,15 +257,10 @@ std::string WriteV1Image(const Table& table) {
 
 TEST(FuzzRoundTripTest, V1ImageReadsBackIdentical) {
   const Table table = test::MakeEntropyTable({1.5, 3.0, 0.8}, 700, 13);
-  std::stringstream stream(WriteV1Image(table));
-  auto loaded = ReadBinaryTable(stream);
+  auto loaded = LoadAllWays(WriteV1Image(table));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->num_rows(), table.num_rows());
-  ASSERT_EQ(loaded->num_columns(), table.num_columns());
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    EXPECT_EQ(loaded->column(c).codes(), table.column(c).codes());
-    EXPECT_EQ(loaded->column(c).support(), table.column(c).support());
-  }
+  EXPECT_EQ(loaded->MappedBytes(), 0u) << "v1 has no borrowable payloads";
+  ExpectSameTable(*loaded, table);
 }
 
 TEST(FuzzRoundTripTest, V1CorruptionNeverCrashes) {
@@ -208,15 +275,7 @@ TEST(FuzzRoundTripTest, V1CorruptionNeverCrashes) {
       const size_t pos = rng.UniformU64(mutated.size());
       mutated[pos] = static_cast<char>(rng.Next());
     }
-    std::stringstream stream(mutated);
-    auto loaded = ReadBinaryTable(stream);  // must not crash or hang
-    if (loaded.ok()) {
-      for (const Column& col : loaded->columns()) {
-        for (uint64_t r = 0; r < col.size(); ++r) {
-          ASSERT_LT(col.code(r), std::max<uint32_t>(col.support(), 1));
-        }
-      }
-    }
+    (void)LoadAllWays(mutated);  // must not crash or hang
   }
 }
 
@@ -226,9 +285,7 @@ TEST(FuzzRoundTripTest, V1TruncationAlwaysCorruption) {
   Rng rng(29);
   for (int trial = 0; trial < 50; ++trial) {
     const size_t cut = rng.UniformU64(image.size());
-    std::stringstream stream(image.substr(0, cut));
-    auto loaded = ReadBinaryTable(stream);
-    EXPECT_FALSE(loaded.ok()) << "cut=" << cut;
+    EXPECT_FALSE(LoadAllWays(image.substr(0, cut)).ok()) << "cut=" << cut;
   }
 }
 
@@ -248,13 +305,7 @@ TEST(FuzzRoundTripTest, BinaryCorruptionNeverCrashes) {
       const size_t pos = offsets[rng.UniformU64(offsets.size())];
       mutated[pos] = static_cast<char>(rng.Next());
     }
-    std::stringstream stream(mutated);
-    auto loaded = ReadBinaryTable(stream);  // must not crash or hang
-    if (loaded.ok()) {
-      // A surviving table must still be structurally valid.
-      ExpectCodesInRange(*loaded);
-      ExpectAppendKeepsCodesInRange(*loaded);
-    }
+    (void)LoadAllWays(mutated);  // must not crash or hang
   }
 }
 
@@ -283,13 +334,9 @@ TEST(FuzzRoundTripTest, V3SketchCorruptionNeverCrashes) {
       const size_t pos = rng.UniformU64(mutated.size());
       mutated[pos] = static_cast<char>(rng.Next());
     }
-    std::stringstream stream(mutated);
-    auto loaded = ReadBinaryTable(stream);  // must not crash or hang
+    auto loaded = LoadAllWays(mutated);  // must not crash or hang
     if (loaded.ok()) {
       for (const Column& col : loaded->columns()) {
-        for (uint64_t r = 0; r < col.size(); ++r) {
-          ASSERT_LT(col.code(r), std::max<uint32_t>(col.support(), 1));
-        }
         if (col.has_sketch()) {
           // A surviving sidecar must still satisfy the row-sum invariant
           // FromParts enforces -- spot-check it never undercounts its
@@ -307,9 +354,7 @@ TEST(FuzzRoundTripTest, V3TruncationAlwaysCorruption) {
   Rng rng(43);
   for (int trial = 0; trial < 50; ++trial) {
     const size_t cut = rng.UniformU64(image.size());
-    std::stringstream stream(image.substr(0, cut));
-    auto loaded = ReadBinaryTable(stream);
-    EXPECT_FALSE(loaded.ok()) << "cut=" << cut;
+    EXPECT_FALSE(LoadAllWays(image.substr(0, cut)).ok()) << "cut=" << cut;
   }
 }
 
@@ -321,124 +366,19 @@ TEST(FuzzRoundTripTest, BinaryTruncationAlwaysCorruption) {
   Rng rng(7);
   for (int trial = 0; trial < 50; ++trial) {
     const size_t cut = rng.UniformU64(image.size());
-    std::stringstream stream(image.substr(0, cut));
-    auto loaded = ReadBinaryTable(stream);
-    EXPECT_FALSE(loaded.ok()) << "cut=" << cut;
+    EXPECT_FALSE(LoadAllWays(image.substr(0, cut)).ok()) << "cut=" << cut;
   }
 }
-
-// ---- Mapped-load robustness ------------------------------------------
-//
-// The mmap loader (ReadBinaryTableFileMapped) borrows words straight out
-// of the file mapping, so its bounds checking is the only thing between
-// a corrupt file and a SIGBUS. These mirror the stream-loader fuzz
-// suites through temp files.
-
-class ScopedImageFile {
- public:
-  explicit ScopedImageFile(const std::string& bytes)
-      : path_(::testing::TempDir() + "/fuzz_mapped_" +
-              std::to_string(reinterpret_cast<uintptr_t>(this)) + ".swpb") {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    EXPECT_TRUE(out.good());
-  }
-  ~ScopedImageFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 TEST(FuzzRoundTripTest, MappedLoadMatchesStreamLoad) {
   const Table table = test::MakeEntropyTable({1.0, 2.5, 0.5}, 500, 3);
   std::stringstream buffer;
   ASSERT_TRUE(WriteBinaryTable(table, buffer).ok());
-  ScopedImageFile file(buffer.str());
-
-  auto mapped = ReadBinaryTableFileMapped(file.path());
+  auto mapped = LoadAllWays(buffer.str());
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_GT(mapped->MappedBytes(), 0u)
       << "page-aligned writer output should load borrowed, not copied";
-  ASSERT_EQ(mapped->num_rows(), table.num_rows());
-  ASSERT_EQ(mapped->num_columns(), table.num_columns());
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    EXPECT_EQ(mapped->column(c).codes(), table.column(c).codes());
-  }
-}
-
-TEST(FuzzRoundTripTest, MappedCorruptionNeverCrashes) {
-  const Table table = test::MakeEntropyTable({1.0, 2.5, 0.5}, 500, 3);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteBinaryTable(table, buffer).ok());
-  const std::string image = buffer.str();
-
-  const std::vector<size_t> offsets = LoaderReadOffsets(image);
-  Rng rng(57);
-  for (int trial = 0; trial < 150; ++trial) {
-    std::string mutated = image;
-    const int flips = 1 + static_cast<int>(rng.UniformU64(4));
-    for (int f = 0; f < flips; ++f) {
-      const size_t pos = offsets[rng.UniformU64(offsets.size())];
-      mutated[pos] = static_cast<char>(rng.Next());
-    }
-    ScopedImageFile file(mutated);
-    // Must not crash, and in particular must never fault past the
-    // mapping: every read is bounds-checked against ReadableBytes.
-    auto loaded = ReadBinaryTableFileMapped(file.path());
-    if (loaded.ok()) {
-      ExpectCodesInRange(*loaded);
-      ExpectAppendKeepsCodesInRange(*loaded);
-    }
-  }
-}
-
-TEST(FuzzRoundTripTest, MappedV3CorruptionNeverCrashes) {
-  const std::string image = WriteV3Image();
-  Rng rng(61);
-  for (int trial = 0; trial < 150; ++trial) {
-    std::string mutated = image;
-    const int flips = 1 + static_cast<int>(rng.UniformU64(4));
-    for (int f = 0; f < flips; ++f) {
-      const size_t pos = rng.UniformU64(mutated.size());
-      mutated[pos] = static_cast<char>(rng.Next());
-    }
-    ScopedImageFile file(mutated);
-    auto loaded = ReadBinaryTableFileMapped(file.path());
-    if (loaded.ok()) {
-      for (const Column& col : loaded->columns()) {
-        for (uint64_t r = 0; r < col.size(); ++r) {
-          ASSERT_LT(col.code(r), std::max<uint32_t>(col.support(), 1));
-        }
-      }
-    }
-  }
-}
-
-TEST(FuzzRoundTripTest, MappedTruncationAlwaysCorruption) {
-  const Table table = test::MakeEntropyTable({2.0, 1.0}, 200, 5);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteBinaryTable(table, buffer).ok());
-  const std::string image = buffer.str();
-  Rng rng(67);
-  for (int trial = 0; trial < 50; ++trial) {
-    const size_t cut = rng.UniformU64(image.size());
-    ScopedImageFile file(image.substr(0, cut));
-    auto loaded = ReadBinaryTableFileMapped(file.path());
-    EXPECT_FALSE(loaded.ok()) << "cut=" << cut;
-  }
-}
-
-TEST(FuzzRoundTripTest, MappedV1FallsBackToStreamLoader) {
-  const Table table = test::MakeEntropyTable({1.5, 3.0}, 300, 13);
-  ScopedImageFile file(WriteV1Image(table));
-  auto loaded = ReadBinaryTableFileMapped(file.path());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->MappedBytes(), 0u) << "v1 has no borrowable payloads";
-  ASSERT_EQ(loaded->num_rows(), table.num_rows());
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    EXPECT_EQ(loaded->column(c).codes(), table.column(c).codes());
-  }
+  ExpectSameTable(*mapped, table);
 }
 
 TEST(FuzzRoundTripTest, SequentialSamplingOnShuffledStorageIsSound) {
