@@ -3,6 +3,8 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -20,6 +22,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/query_trace.h"
+#include "src/table/append.h"
 #include "src/table/column_view.h"
 #include "src/table/csv_reader.h"
 #include "src/table/csv_writer.h"
@@ -142,32 +145,71 @@ void BM_GatherDecodePerRow(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherDecodePerRow)->Arg(2)->Arg(64)->Arg(1000);
 
-// The content key the registry computes on every registration and
-// ingest: TableFingerprint over the 200k-row cdc preset with the
-// support > 1000 columns dropped -- the table perfbench's
-// entropy_explore and ingest_refresh workloads register. items = cells.
-void BM_TableFingerprint(benchmark::State& state) {
+// The 200k-row cdc preset with the support > 1000 columns dropped: the
+// table perfbench's entropy_explore and ingest_refresh workloads
+// register.
+Table CdcServingTable() {
   auto made = MakePresetTable(DatasetPreset::kCdc, 200000);
   if (!made.ok()) std::abort();
-  const Table table = made->DropHighSupportColumns(1000);
+  return std::move(*made).DropHighSupportColumns(1000);
+}
+
+// The content key the registry computes on a table's first registration:
+// TableFingerprint over CdcServingTable with every column digest still
+// to hash. Columns cache their digests, so each iteration fingerprints a
+// fresh copy, built untimed. items = cells.
+void BM_TableFingerprint(benchmark::State& state) {
+  const Table table = CdcServingTable();
+  Table fresh;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(TableFingerprint(table));
+    state.PauseTiming();
+    std::vector<Column> columns;
+    for (const Column& column : table.columns()) {
+      columns.push_back(*Column::FromPacked(column.name(), column.support(),
+                                            column.packed(),
+                                            column.labels()));
+    }
+    fresh = *Table::Make(std::move(columns));
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(TableFingerprint(fresh));
   }
   state.SetItemsProcessed(static_cast<int64_t>(
       state.iterations() * table.num_rows() * table.num_columns()));
 }
 BENCHMARK(BM_TableFingerprint)->Unit(benchmark::kMillisecond);
 
+// One ingest as QueryEngine::Ingest runs it, less the registry:
+// AppendRowsToTable of a 500-row batch (perfbench ingest_refresh's batch
+// size) onto CdcServingTable, then TableFingerprint of the result. The
+// base table was fingerprinted once, as its registration would have, so
+// the append extends the column digests. Time per ingest.
+void BM_Ingest(benchmark::State& state) {
+  const Table table = CdcServingTable();
+  benchmark::DoNotOptimize(TableFingerprint(table));
+  std::vector<std::vector<std::string>> batch(500);
+  std::vector<ValueCode> scratch;
+  for (const Column& column : table.columns()) {
+    const ValueCode* codes =
+        ColumnView(column).Decode(0, batch.size(), scratch);
+    for (uint64_t r = 0; r < batch.size(); ++r) {
+      batch[r].push_back(column.LabelOf(codes[r]));
+    }
+  }
+  for (auto _ : state) {
+    auto appended = AppendRowsToTable(table, batch);
+    if (!appended.ok()) std::abort();
+    benchmark::DoNotOptimize(TableFingerprint(*appended));
+  }
+}
+BENCHMARK(BM_Ingest)->Unit(benchmark::kMillisecond);
+
 // The one-time count behind Column::ValueCounts, which a table's first MI
-// query pays: the fused decode-and-count kernel over every column of the
-// 200k-row cdc preset with the support > 1000 columns dropped (the
-// table shape of perfbench's mi_select, at twice its rows). The column
-// caches its counts, so this calls the kernel the cache runs.
-// items = codes.
+// query pays: the fused decode-and-count kernel over every column of
+// CdcServingTable (the table shape of perfbench's mi_select, at twice
+// its rows). The column caches its counts, so this calls the kernel the
+// cache runs. items = codes.
 void BM_ColumnValueCounts(benchmark::State& state) {
-  auto made = MakePresetTable(DatasetPreset::kCdc, 200000);
-  if (!made.ok()) std::abort();
-  const Table table = made->DropHighSupportColumns(1000);
+  const Table table = CdcServingTable();
   for (auto _ : state) {
     for (const Column& column : table.columns()) {
       std::vector<uint64_t> counts(column.support(), 0);

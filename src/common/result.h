@@ -56,6 +56,9 @@ class [[nodiscard]] Result {
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  /// `*std::move(result)` moves the value out; without this overload it
+  /// would bind the const& one above and copy.
+  T&& operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 

@@ -36,7 +36,9 @@ Status DatasetRegistry::Put(const std::string& name, Table table) {
   if (name.empty()) {
     return Status::InvalidArgument("registry: dataset name must be non-empty");
   }
-  // Fingerprint outside the lock: it scans every cell.
+  // Fingerprint outside the lock: a column's first digest hashes all its
+  // payload words (an ingest's successor columns arrive with theirs
+  // extended, so only names and labels remain to hash).
   auto dataset = std::make_shared<Dataset>();
   dataset->name = name;
   dataset->fingerprint = TableFingerprint(table);

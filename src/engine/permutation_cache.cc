@@ -64,6 +64,17 @@ std::shared_ptr<const std::vector<uint32_t>> PermutationCache::GetOrCreate(
   return shared;
 }
 
+void PermutationCache::Erase(uint64_t fingerprint) {
+  MutexLock lock(mutex_);
+  auto it = entries_.lower_bound(Key{fingerprint, 0, false});
+  while (it != entries_.end() && it->first.fingerprint == fingerprint) {
+    it = entries_.erase(it);
+  }
+  if (entries_metric_ != nullptr) {
+    entries_metric_->Set(static_cast<int64_t>(entries_.size()));
+  }
+}
+
 PermutationCache::Stats PermutationCache::GetStats() const {
   MutexLock lock(mutex_);
   Stats stats;

@@ -7,7 +7,8 @@
 // query's order is the deterministic function ShuffledRowOrder(N, seed),
 // sharing it changes nothing about any individual answer. Entries are
 // keyed by (table fingerprint, seed, sequential flag) and handed out as
-// shared_ptr so eviction never invalidates a running query.
+// shared_ptr so eviction never invalidates a running query. The engine
+// erases a fingerprint's entries when its dataset is replaced or removed.
 
 #ifndef SWOPE_ENGINE_PERMUTATION_CACHE_H_
 #define SWOPE_ENGINE_PERMUTATION_CACHE_H_
@@ -45,6 +46,11 @@ class PermutationCache {
   std::shared_ptr<const std::vector<uint32_t>> GetOrCreate(
       uint64_t fingerprint, uint32_t num_rows, uint64_t seed,
       bool sequential) REQUIRES(!mutex_);
+
+  /// Drops every order cached for `fingerprint`, the contents of a
+  /// dataset that was replaced or removed. Queries already holding one
+  /// keep it through their shared_ptr.
+  void Erase(uint64_t fingerprint) REQUIRES(!mutex_);
 
   struct Stats {
     uint64_t hits = 0;

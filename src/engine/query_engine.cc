@@ -161,7 +161,12 @@ QueryEngine::QueryEngine(EngineConfig config)
 
 Status QueryEngine::RegisterDataset(const std::string& name, Table table) {
   const uint64_t num_rows = table.num_rows();
-  SWOPE_RETURN_NOT_OK(registry_.Put(name, std::move(table)));
+  {
+    MutexLock writer(writer_mutex_);
+    auto old = registry_.Get(name);
+    SWOPE_RETURN_NOT_OK(registry_.Put(name, std::move(table)));
+    DropReplacedOrders(name, old);
+  }
   event_log_.Append(EventKind::kDatasetLoad, name,
                     "rows=" + std::to_string(num_rows));
   return Status::OK();
@@ -180,7 +185,7 @@ Status QueryEngine::RegisterDatasetFile(const std::string& name,
                                 : ReadBinaryTableFile(path);
   if (!table.ok()) return table.status();
   if (max_support > 0) {
-    *table = table->DropHighSupportColumns(max_support);
+    *table = std::move(*table).DropHighSupportColumns(max_support);
   }
   if (sketch_epsilon > 0.0) {
     auto sketched =
@@ -193,25 +198,42 @@ Status QueryEngine::RegisterDatasetFile(const std::string& name,
 }
 
 Status QueryEngine::RemoveDataset(const std::string& name) {
-  return registry_.Remove(name);
+  MutexLock writer(writer_mutex_);
+  auto old = registry_.Get(name);
+  SWOPE_RETURN_NOT_OK(registry_.Remove(name));
+  DropReplacedOrders(name, old);
+  return Status::OK();
 }
 
 Status QueryEngine::Ingest(const std::string& name,
                            const std::vector<std::vector<std::string>>& rows) {
   Stopwatch latency;
-  auto dataset = registry_.Get(name);
-  if (!dataset.ok()) return dataset.status();
-  auto appended = AppendRowsToTable((*dataset)->table, rows);
-  if (!appended.ok()) return appended.status();
-  // Put re-fingerprints the new contents; result-cache entries keyed by
-  // the old fingerprint become unreachable for this name automatically.
-  SWOPE_RETURN_NOT_OK(registry_.Put(name, *std::move(appended)));
+  {
+    MutexLock writer(writer_mutex_);
+    auto dataset = registry_.Get(name);
+    if (!dataset.ok()) return dataset.status();
+    auto appended = AppendRowsToTable((*dataset)->table, rows);
+    if (!appended.ok()) return appended.status();
+    // Put fingerprints the new contents from the digests the append
+    // extended; result-cache entries keyed by the old fingerprint become
+    // unreachable for this name automatically.
+    SWOPE_RETURN_NOT_OK(registry_.Put(name, *std::move(appended)));
+    DropReplacedOrders(name, dataset);
+  }
   ingest_rows_->Increment(rows.size());
   const double ingest_ms = latency.ElapsedMillis();
   ingest_latency_ms_->Observe(ingest_ms);
   event_log_.Append(EventKind::kIngest, name,
                     "appended=" + std::to_string(rows.size()), ingest_ms);
   return Status::OK();
+}
+
+void QueryEngine::DropReplacedOrders(const std::string& name,
+                                     const Result<DatasetHandle>& old) {
+  if (!old.ok()) return;
+  auto now = registry_.Get(name);
+  if (now.ok() && (*now)->fingerprint == (*old)->fingerprint) return;
+  permutation_cache_.Erase((*old)->fingerprint);
 }
 
 Result<QueryResponse> QueryEngine::Run(const QuerySpec& spec,

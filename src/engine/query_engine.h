@@ -165,8 +165,10 @@ class QueryEngine {
   QueryEngine& operator=(const QueryEngine&) = delete;
 
   /// Registers `table` under `name` (replacing any previous dataset of
-  /// that name; in-flight queries keep their handle).
-  Status RegisterDataset(const std::string& name, Table table);
+  /// that name; in-flight queries keep their handle). The table is moved
+  /// into the registry, never copied.
+  Status RegisterDataset(const std::string& name, Table table)
+      REQUIRES(!writer_mutex_);
 
   /// Loads a table from `path` (*.csv is CSV, anything else SWPB binary),
   /// optionally dropping columns with support > max_support (the paper's
@@ -178,25 +180,32 @@ class QueryEngine {
   /// mapped path (binary_io.h): page-aligned payloads are borrowed from
   /// the mapping and stay OS-paged instead of heap-resident -- they do
   /// not count against the registry's memory budget. A later Ingest
-  /// copies the appended columns onto the heap.
+  /// copies the appended columns onto the heap. Dropping columns and
+  /// registering move the table, so a heap load without sketches
+  /// allocates its payload once.
   Status RegisterDatasetFile(const std::string& name, const std::string& path,
                              uint32_t max_support = 0,
                              double sketch_epsilon = 0.0,
                              uint32_t sketch_threshold = 1000,
-                             bool mmap = false);
+                             bool mmap = false) REQUIRES(!writer_mutex_);
 
-  Status RemoveDataset(const std::string& name);
+  Status RemoveDataset(const std::string& name) REQUIRES(!writer_mutex_);
 
   /// Appends `rows` (one vector of cell strings per row, in column order)
   /// to the resident dataset `name` and re-registers the result under the
-  /// same name. The append encodes only the new rows (each column's old
-  /// payload words are copied into a new owned payload with the tail
-  /// packed behind them; sketch sidecars absorb the tail; table/append.h)
-  /// and the fingerprint is recomputed in one pass over the payload
-  /// words, so cached answers for the old contents can never be served
-  /// for the new ones.
+  /// same name. Apart from one copy of each column's old payload words
+  /// into the successor's owned payload -- queries in flight keep reading
+  /// the old version -- the work is proportional to the batch: only the
+  /// new rows are encoded and packed, sketch sidecars absorb the tail
+  /// (table/append.h), and each column's digest extends its parent's
+  /// over the new words, so the new fingerprint costs O(batch) too. The
+  /// fingerprint changes with the contents, so cached answers for the
+  /// old contents can never be served for the new ones. Writers
+  /// (RegisterDataset, RemoveDataset, Ingest) are serialized, so
+  /// concurrent ingests onto one dataset all land.
   Status Ingest(const std::string& name,
-                const std::vector<std::vector<std::string>>& rows);
+                const std::vector<std::vector<std::string>>& rows)
+      REQUIRES(!writer_mutex_);
 
   /// Synchronous dispatch. `cancel` may be null; when set, the caller may
   /// flip it from any thread to abort the query at the next round.
@@ -251,6 +260,14 @@ class QueryEngine {
                                  const ResolvedSpec& resolved,
                                  const QueryOptions& options);
 
+  /// Erases the row orders cached for `old`, the dataset `name` held
+  /// before a write, unless `name` still holds the same contents. A
+  /// dataset with those contents under another name rebuilds its order
+  /// on next use, with the same answers.
+  void DropReplacedOrders(const std::string& name,
+                          const Result<DatasetHandle>& old)
+      REQUIRES(writer_mutex_);
+
   const EngineConfig config_;
 
   /// Declared first: every other member resolves handles into it at
@@ -269,6 +286,12 @@ class QueryEngine {
   /// leases riding inside outstanding QueryResponses keep the pool alive
   /// even past engine destruction.
   std::shared_ptr<QueryMemoryPool> query_memory_pool_;
+
+  /// Serializes the writers. An Ingest reads the current version and
+  /// registers its successor; two at once would both extend the same
+  /// version, and the first one's batch would be lost. Queries never
+  /// take it.
+  Mutex writer_mutex_;
 
   Mutex admission_mutex_;
   CondVar admission_cv_;

@@ -102,13 +102,6 @@ Result<Table> AppendRowsToTable(
       }
     }
 
-    // Width-stable appends copy the payload words verbatim and pack only
-    // the tail; a support that crossed a power-of-two boundary repacks
-    // the column. Either way the result owns its words, so an appended
-    // mapped column does not hold on to the mapping.
-    PackedCodes packed =
-        col.packed().Append(tail, PackedCodes::WidthForSupport(support));
-
     std::shared_ptr<const CountMinSketch> sketch;
     if (col.has_sketch()) {
       // Incremental sidecar maintenance: clone, absorb just the tail.
@@ -117,10 +110,14 @@ Result<Table> AppendRowsToTable(
       sketch = std::make_shared<const CountMinSketch>(std::move(updated));
     }
 
+    // Width-stable appends copy the payload words verbatim, pack only
+    // the tail and extend the column's digest; a support that crossed a
+    // power-of-two boundary repacks the column. Either way the result
+    // owns its words, so an appended mapped column does not hold on to
+    // the mapping.
     SWOPE_ASSIGN_OR_RETURN(
         Column column,
-        Column::FromPackedTrusted(col.name(), support, std::move(packed),
-                                  std::move(labels), std::move(sketch)));
+        col.Append(tail, support, std::move(labels), std::move(sketch)));
     columns.push_back(std::move(column));
   }
   return Table::Make(std::move(columns));

@@ -8,9 +8,12 @@
 //     does not cross a power-of-two width boundary; only a boundary
 //     crossing repacks that one column,
 //   * label dictionaries grow by the new values in first-seen order,
-//     exactly as TableBuilder would have assigned them, and
+//     exactly as TableBuilder would have assigned them,
 //   * count-min sidecars (src/table/sketch_sidecar.h) are cloned and
-//     absorb just the appended codes.
+//     absorb just the appended codes, and
+//   * at an unchanged width each column's payload digest extends its
+//     parent's over the new words (Column::Append), so fingerprinting
+//     the result costs O(batch) per column.
 // The result is a table whose fingerprint differs from the original's,
 // which is what keys cache invalidation in the engine (a re-registered
 // dataset drops every cached answer). See docs/SKETCH.md.

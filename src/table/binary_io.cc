@@ -1,6 +1,11 @@
 #include "src/table/binary_io.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -438,11 +443,29 @@ Status WriteBinaryTable(const Table& table, std::ostream& output,
 
 Status WriteBinaryTableFile(const Table& table, const std::string& path,
                             const BinaryWriteOptions& options) {
-  std::ofstream file(path, std::ios::binary);
-  if (!file) {
-    return Status::IOError("binary table: cannot open '" + path + "'");
-  }
-  return WriteBinaryTable(table, file, options);
+  // Write a uniquely named sibling and rename it over `path` once it is
+  // complete. A failed write then leaves `path` as it was, and a process
+  // that mapped the old file keeps reading the old inode: rewriting it in
+  // place would truncate the pages under that mapping (SIGBUS).
+  static std::atomic<uint64_t> next_temp{0};
+  const std::string temp = path + ".tmp" + std::to_string(::getpid()) +
+                           "." + std::to_string(next_temp.fetch_add(1));
+  Status status = [&] {
+    std::ofstream file(temp, std::ios::binary);
+    if (!file) {
+      return Status::IOError("binary table: cannot open '" + path + "'");
+    }
+    SWOPE_RETURN_NOT_OK(WriteBinaryTable(table, file, options));
+    file.close();
+    if (!file) return Status::IOError("binary table: write failed");
+    if (std::rename(temp.c_str(), path.c_str()) != 0) {
+      return Status::IOError("binary table: cannot replace '" + path +
+                             "': " + std::strerror(errno));
+    }
+    return Status::OK();
+  }();
+  if (!status.ok()) std::remove(temp.c_str());
+  return status;
 }
 
 Result<Table> ReadBinaryTable(std::istream& input) {

@@ -73,6 +73,10 @@ struct BinaryWriteOptions {
 /// any column carries a sketch sidecar, version 2 otherwise.
 Status WriteBinaryTable(const Table& table, std::ostream& output,
                         const BinaryWriteOptions& options = {});
+/// Writes the image to a temporary file beside `path` and renames it over
+/// `path`, so `path` is replaced whole or, on any failure, left as it was
+/// (the temporary file is removed). A table mapped from the old file
+/// keeps reading the old contents.
 Status WriteBinaryTableFile(const Table& table, const std::string& path,
                             const BinaryWriteOptions& options = {});
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/math.h"
+#include "src/table/content_hash.h"
 
 namespace swope {
 
@@ -43,6 +44,9 @@ Status CodeOutOfRange(const std::string& name, ValueCode code,
 // encode values in [support, 2^width).
 Status CheckCodes(const std::string& name, uint32_t support,
                   const PackedCodes& packed) {
+  // A support of 2^width (or 1 at width 0) admits every value the width
+  // can hold.
+  if ((uint64_t{1} << packed.width()) <= support) return Status::OK();
   std::vector<ValueCode> scratch(std::min<uint64_t>(packed.size(), 4096));
   for (uint64_t begin = 0; begin < packed.size();
        begin += scratch.size()) {
@@ -102,14 +106,32 @@ Result<Column> Column::FromPacked(std::string name, uint32_t support,
   return column;
 }
 
-Result<Column> Column::FromPackedTrusted(
-    std::string name, uint32_t support, PackedCodes packed,
+Result<Column> Column::Append(
+    const std::vector<ValueCode>& tail, uint32_t support,
     std::vector<std::string> labels,
-    std::shared_ptr<const CountMinSketch> sketch) {
-  SWOPE_RETURN_NOT_OK(CheckShape(name, support, packed, labels));
-  Column column(std::move(name), support, std::move(packed),
+    std::shared_ptr<const CountMinSketch> sketch) const {
+  if (support < support_) {
+    return Status::InvalidArgument(
+        "column '" + name_ + "': append shrinks support " +
+        std::to_string(support_) + " to " + std::to_string(support));
+  }
+  for (ValueCode c : tail) {
+    if (c >= support) return CodeOutOfRange(name_, c, support);
+  }
+  const uint32_t width = PackedCodes::WidthForSupport(support);
+  Column column(name_, support, codes_.Append(tail, width),
                 std::move(labels));
+  SWOPE_RETURN_NOT_OK(
+      CheckShape(name_, support, column.codes_, column.labels_));
   column.sketch_ = std::move(sketch);
+  if (width == codes_.width()) {
+    // The tail's bits all lie past size() * width, so this payload's
+    // full words reappear unchanged at the front of the successor's.
+    const DigestCache& parent = Digested();
+    std::call_once(column.digest_->once, [&] {
+      column.FinishDigest(parent.full_words_state, codes_.num_full_words());
+    });
+  }
   return column;
 }
 
@@ -141,5 +163,24 @@ const std::vector<uint64_t>& Column::ValueCounts() const {
 }
 
 double Column::Entropy() const { return Counted().entropy; }
+
+void Column::FinishDigest(uint64_t state, uint64_t from) const {
+  const uint64_t* words = codes_.data_words();
+  const uint64_t full = codes_.num_full_words();
+  ContentHasher hasher(state);
+  hasher.AddWords(words, from, full);
+  digest_->full_words_state = hasher.state();
+  if (full < codes_.num_data_words()) hasher.Add(words[full]);
+  hasher.Add(codes_.size());
+  digest_->digest = hasher.Finish();
+}
+
+const Column::DigestCache& Column::Digested() const {
+  std::call_once(digest_->once,
+                 [this] { FinishDigest(ContentHasher().state(), 0); });
+  return *digest_;
+}
+
+uint64_t Column::PayloadDigest() const { return Digested().digest; }
 
 }  // namespace swope

@@ -54,16 +54,18 @@ class Column {
                                    std::vector<std::string> labels = {},
                                    std::shared_ptr<const void> backing = {});
 
-  /// Trusted variant for the append path (src/table/append.h): still
-  /// checks the width and label invariants, but skips FromPacked's
-  /// per-code scan -- the payload extends a column that was validated
-  /// when first constructed, and the caller encoded the tail itself.
-  /// Also attaches an optional sketch sidecar without the extra copy
-  /// WithSketch would make.
-  static Result<Column> FromPackedTrusted(
-      std::string name, uint32_t support, PackedCodes packed,
-      std::vector<std::string> labels,
-      std::shared_ptr<const CountMinSketch> sketch);
+  /// The successor column an append builds (src/table/append.h): this
+  /// column's codes followed by `tail`, under `support` (which must not
+  /// shrink) and `labels`, carrying `sketch` as its sidecar. Only the
+  /// tail is checked against the support -- the old codes were checked
+  /// when this column was built -- and only the tail is packed: at an
+  /// unchanged width the old payload words are copied as they are
+  /// (PackedCodes::Append), and the successor's PayloadDigest extends
+  /// this column's (hashing it first if nothing has yet) over the new
+  /// words instead of rehashing them all.
+  Result<Column> Append(const std::vector<ValueCode>& tail, uint32_t support,
+                        std::vector<std::string> labels,
+                        std::shared_ptr<const CountMinSketch> sketch) const;
 
   Column() = default;
 
@@ -121,6 +123,16 @@ class Column {
   /// src/core/entropy.h is the Exact baseline's own full scan.)
   double Entropy() const;
 
+  /// Hash of the packed payload words and the row count (ContentHasher,
+  /// src/table/content_hash.h); TableFingerprint combines one per column.
+  /// Every column stores its codes at the canonical width with zero bits
+  /// past the last code, so the digest is a function of the codes.
+  /// Computed on the first call by one pass over the payload words, or
+  /// seeded by Append, and kept like ValueCounts(): every copy of the
+  /// column shares it. Thread-safe; concurrent first calls hash once. Not
+  /// part of MemoryBytes (docs/STORAGE.md).
+  uint64_t PayloadDigest() const;
+
   /// True when a whole-column count-min summary rides along (built by
   /// AttachSketches or loaded from a v3 sidecar; see docs/SKETCH.md).
   bool has_sketch() const { return sketch_ != nullptr; }
@@ -161,6 +173,19 @@ class Column {
   };
   const CountsCache& Counted() const;
 
+  /// The lazily computed PayloadDigest(). `full_words_state` is the hash
+  /// state after the payload's num_full_words() words, which an append
+  /// at the same width leaves unchanged, so a successor resumes from it.
+  struct DigestCache {
+    std::once_flag once;
+    uint64_t full_words_state = 0;
+    uint64_t digest = 0;
+  };
+  const DigestCache& Digested() const;
+  /// Fills digest_ from `state`, a hash state over this payload's first
+  /// `from` words, all of them full. Runs under digest_->once.
+  void FinishDigest(uint64_t state, uint64_t from) const;
+
   std::string name_;
   uint32_t support_ = 0;
   PackedCodes codes_;
@@ -169,6 +194,9 @@ class Column {
   /// Shared by copies, like the payload they copy; a column built by a
   /// factory (an append included) starts with an empty cache of its own.
   std::shared_ptr<CountsCache> counts_ = std::make_shared<CountsCache>();
+  /// Shared by copies the same way; a factory's column starts empty, and
+  /// Append fills its successor's at an unchanged width.
+  std::shared_ptr<DigestCache> digest_ = std::make_shared<DigestCache>();
   /// Keeps the region a borrowed payload points into alive (mmap path).
   std::shared_ptr<const void> backing_;
 };

@@ -6,15 +6,20 @@
 // fingerprint covers everything that can influence a query answer: shape,
 // column names, supports, codes, and label dictionaries.
 //
-// Codes are hashed as their packed payload words, not decoded: each
-// column contributes its width and then its num_data_words() words. That
-// is a function of the logical codes because every Column stores them at
-// the canonical width for its support and keeps the bits past its last
-// code zero (PackedCodes: Pack and Append write none, FromWords and
-// BorrowWords reject any). Heap, mapped, Make-built and append-built
-// copies of one table therefore hash equal. Cost: one pass over the
-// payload words, ceil(N * width / 64) per column of N rows -- at the cdc
-// preset's widths about 1/13 as many hash steps as one per code.
+// Codes enter as one digest per column (Column::PayloadDigest): a hash
+// of the column's packed payload words and row count. That is a function
+// of the logical codes because every Column stores them at the canonical
+// width for its support and keeps the bits past its last code zero
+// (PackedCodes: Pack and Append write none, FromWords and BorrowWords
+// reject any). Heap, mapped, Make-built and append-built copies of one
+// table therefore hash equal.
+//
+// Cost: a column hashes its payload words once, ceil(N * width / 64) of
+// them for N rows, and caches the digest, which its copies share. An
+// append at unchanged width extends its parent's digest over the new
+// words only, so re-fingerprinting an ingested table costs O(batch) per
+// column plus the names and labels; a width-crossing append repacks the
+// column and rehashes it in full on first use.
 
 #ifndef SWOPE_TABLE_FINGERPRINT_H_
 #define SWOPE_TABLE_FINGERPRINT_H_
@@ -25,9 +30,9 @@
 
 namespace swope {
 
-/// 64-bit content hash of `table` (FNV-1a over a canonical serialization,
-/// strengthened with a SplitMix64 finalizer per field; each payload word
-/// is one field). Deterministic across runs and platforms of equal
+/// 64-bit content hash of `table`: a ContentHasher (content_hash.h) over
+/// the shape and then, per column, name, support, width, payload digest
+/// and labels. Deterministic across runs and platforms of equal
 /// endianness assumptions: all values are mixed as integers, never as
 /// raw memory. Two tables with equal fingerprints are, for all practical
 /// purposes, the same dataset; any difference in rows, row order, names,

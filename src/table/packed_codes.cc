@@ -250,12 +250,13 @@ PackedCodes PackedCodes::Append(const std::vector<ValueCode>& tail,
   std::vector<uint64_t> words;
   if (width > 0 && n > 0) {
     // Copy the old payload (dropping the padding word, which the loop
-    // below may turn into real payload) and pack the tail behind it.
-    // word_base() so borrowed (mapped) payloads append into an owned
-    // copy.
-    words.assign(NumDataWords(n, width) + 1, 0);
+    // below may turn into real payload), zero only the words after it,
+    // and pack the tail behind it. word_base() so borrowed (mapped)
+    // payloads append into an owned copy.
     const uint64_t* base = word_base();
-    std::copy(base, base + NumDataWords(size_, width), words.begin());
+    words.reserve(NumDataWords(n, width) + 1);
+    words.assign(base, base + num_data_words());
+    words.resize(NumDataWords(n, width) + 1, 0);
     for (uint64_t i = 0; i < tail.size(); ++i) {
       assert(width == 32 || tail[i] < (uint64_t{1} << width));
       const uint64_t bit = (size_ + i) * width;

@@ -128,9 +128,9 @@ class PackedCodes {
   /// Returns a new sequence holding this sequence's values followed by
   /// `tail`, stored at `width` bits (which must be >= the current width;
   /// every tail code must be < 2^width). When the width is unchanged the
-  /// existing payload words are copied verbatim and only the tail is
-  /// packed -- the streaming-ingest fast path; a wider width (support
-  /// crossed a power-of-two boundary) repacks everything.
+  /// existing payload words are copied verbatim, once, and only the tail
+  /// is packed behind them -- the streaming-ingest fast path; a wider
+  /// width (support crossed a power-of-two boundary) repacks everything.
   PackedCodes Append(const std::vector<ValueCode>& tail,
                      uint32_t width) const;
 
@@ -138,6 +138,10 @@ class PackedCodes {
   /// part of the wire format).
   const uint64_t* data_words() const { return word_base(); }
   uint64_t num_data_words() const { return NumDataWords(size_, width_); }
+  /// Payload words with no bit past the last code: the leading
+  /// floor(size * width / 64). An Append at the same width leaves these
+  /// words as they are (it may still fill the partial word after them).
+  uint64_t num_full_words() const { return size_ * width_ / 64; }
 
   /// True when the payload references external (mmap-backed) memory
   /// instead of owned heap words.

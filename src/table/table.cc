@@ -74,12 +74,19 @@ uint64_t Table::SketchMemoryBytes() const {
   return bytes;
 }
 
-Table Table::DropHighSupportColumns(uint32_t max_support) const {
+Table Table::DropHighSupportColumns(uint32_t max_support) const& {
   std::vector<Column> kept;
   for (const Column& col : columns_) {
     if (col.support() <= max_support) kept.push_back(col);
   }
   return Table(std::move(kept));
+}
+
+Table Table::DropHighSupportColumns(uint32_t max_support) && {
+  std::erase_if(columns_, [max_support](const Column& col) {
+    return col.support() > max_support;
+  });
+  return Table(std::move(columns_));
 }
 
 Result<Table> Table::PermuteRows(const std::vector<uint32_t>& perm) const {

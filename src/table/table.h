@@ -64,8 +64,10 @@ class Table {
 
   /// Returns a table containing only the columns with support size
   /// <= max_support. This is the paper's preprocessing step: "we eliminate
-  /// columns with a support size larger than 1000" (Section 6.1).
-  Table DropHighSupportColumns(uint32_t max_support) const;
+  /// columns with a support size larger than 1000" (Section 6.1). The
+  /// const& form copies the kept columns; the && form moves them.
+  Table DropHighSupportColumns(uint32_t max_support) const&;
+  Table DropHighSupportColumns(uint32_t max_support) &&;
 
   /// Returns a table with rows permuted: new row r holds old row perm[r].
   /// perm must be a permutation of [0, num_rows).

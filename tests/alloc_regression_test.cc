@@ -9,14 +9,20 @@
 // per-query std::vector, std::string, or node allocation back into the
 // core path fails here with an exact count.
 //
+// The interposer also counts bytes, which pins the write paths: a heap
+// registration allocates its table's payload once, and an ingest one
+// successor payload plus O(batch) -- no hidden copy of the table.
+//
 // Under ASan/TSan the sanitizer runtime owns operator new, so the
 // interposer is compiled out and the tests skip.
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +34,8 @@
 #include "src/core/swope_filter_entropy.h"
 #include "src/core/swope_topk_entropy.h"
 #include "src/core/swope_topk_mi.h"
+#include "src/engine/query_engine.h"
+#include "src/table/binary_io.h"
 #include "src/table/shuffle.h"
 #include "src/table/table.h"
 #include "tests/test_util.h"
@@ -50,15 +58,21 @@ namespace {
 // Relaxed is fine: the serial test path is single-threaded and only
 // deltas are compared.
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<uint64_t> g_allocated_bytes{0};
+
+void Count(size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 
 void* CountedNew(size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  Count(size);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
 void* CountedNewAligned(size_t size, std::align_val_t alignment) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  Count(size);
   if (void* p = std::aligned_alloc(static_cast<size_t>(alignment),
                                    (size + static_cast<size_t>(alignment) - 1) /
                                        static_cast<size_t>(alignment) *
@@ -85,11 +99,11 @@ void* operator new[](size_t size, std::align_val_t a) {
   return CountedNewAligned(size, a);
 }
 void* operator new(size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  Count(size);
   return std::malloc(size == 0 ? 1 : size);
 }
 void* operator new[](size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  Count(size);
   return std::malloc(size == 0 ? 1 : size);
 }
 
@@ -232,6 +246,66 @@ TEST(AllocRegressionTest, ColdQueryAllocatesThenPoolAbsorbsIt) {
   }
   EXPECT_GT(first, 0u);
   EXPECT_GT(pool->IdleArenaBytes(), 0u);
+}
+
+// Eight label-less columns of support 200 (width 8) and one of support
+// 1001 (width 10), which max_support = 1000 drops.
+Table WideTable(uint64_t rows) {
+  std::vector<Column> columns;
+  for (uint32_t j = 0; j < 9; ++j) {
+    const uint32_t support = j < 8 ? 200 : 1001;
+    std::vector<ValueCode> codes(rows);
+    for (uint64_t i = 0; i < rows; ++i) {
+      codes[i] = static_cast<ValueCode>((i * (2 * j + 1) + j) % support);
+    }
+    columns.push_back(
+        Column::FromCodes("c" + std::to_string(j), std::move(codes)));
+  }
+  return Table::Make(std::move(columns)).value();
+}
+
+// A heap registration with a support cut allocates the file's payload
+// once, plus each column's fixed validation scratch: dropping columns and
+// registering move the table (copying it at each step allocated about
+// 3x).
+TEST(AllocRegressionTest, HeapRegistrationAllocatesThePayloadOnce) {
+  const Table table = WideTable(100000);
+  const uint64_t payload = table.MemoryBytes();
+  const std::string path = ::testing::TempDir() + "/alloc_register.swpb";
+  ASSERT_TRUE(WriteBinaryTableFile(table, path).ok());
+  QueryEngine engine;
+
+  const uint64_t before = g_allocated_bytes.load();
+  ASSERT_TRUE(engine.RegisterDatasetFile("ds", path, /*max_support=*/1000)
+                  .ok());
+  const uint64_t allocated = g_allocated_bytes.load() - before;
+  std::remove(path.c_str());
+
+  EXPECT_EQ(engine.registry().Get("ds").value()->table.num_columns(), 8u);
+  EXPECT_GE(allocated, payload);
+  EXPECT_LT(allocated, payload + payload / 4)
+      << "allocated " << allocated << " bytes for a " << payload
+      << "-byte payload";
+}
+
+// An ingest allocates its successor's payload plus O(batch): the
+// appended table is moved into the registry (copying it there allocated
+// about 2x).
+TEST(AllocRegressionTest, IngestAllocatesOneSuccessorPayload) {
+  QueryEngine engine;
+  ASSERT_TRUE(engine.RegisterDataset("ds", WideTable(100000)).ok());
+  const std::vector<std::vector<std::string>> batch(
+      500, std::vector<std::string>(9, "7"));
+  const uint64_t payload = engine.registry().Get("ds").value()->memory_bytes;
+
+  const uint64_t before = g_allocated_bytes.load();
+  ASSERT_TRUE(engine.Ingest("ds", batch).ok());
+  const uint64_t allocated = g_allocated_bytes.load() - before;
+
+  EXPECT_GE(allocated, payload);
+  EXPECT_LT(allocated, payload + payload / 4)
+      << "allocated " << allocated << " bytes for a " << payload
+      << "-byte payload";
 }
 
 #endif  // SWOPE_ALLOC_INTERPOSER

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -376,11 +377,18 @@ TEST(BinaryIoTest, DirectoryIsIOErrorFromBothFileLoaders) {
   EXPECT_EQ(heap.ToString(), mapped.ToString());
 }
 
+Table ReplacementTable() {
+  auto column = Column::Make("x", 5, {4, 1, 3, 0, 0});
+  EXPECT_TRUE(column.ok());
+  auto table = Table::Make({std::move(column).value()});
+  EXPECT_TRUE(table.ok());
+  return std::move(table).value();
+}
+
 // The heap loader owns every byte of its table: it borrows nothing from
-// the file, so truncating and rewriting the file under a live table
-// (WriteBinaryTableFile truncates its target) changes none of its codes,
-// labels or fingerprint. A table that still read from a mapping of that
-// file would fault or change here.
+// the file, so truncating the file in place under a live table changes
+// none of its codes, labels or fingerprint. A table that still read from
+// a mapping of that file would fault or change here.
 TEST(BinaryIoTest, HeapLoadOwnsItsBytesAfterTheFileChanges) {
   const Table original = SampleTable();
   const std::string path = testing::TempDir() + "/swope_heap_owned.swpb";
@@ -388,22 +396,67 @@ TEST(BinaryIoTest, HeapLoadOwnsItsBytesAfterTheFileChanges) {
   auto loaded = ReadBinaryTableFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->MappedBytes(), 0u);
-  const uint64_t fingerprint = TableFingerprint(*loaded);
-  EXPECT_EQ(fingerprint, TableFingerprint(original));
 
-  auto other = Column::Make("x", 5, {4, 1, 3, 0, 0});
-  ASSERT_TRUE(other.ok());
-  auto replacement = Table::Make({std::move(other).value()});
-  ASSERT_TRUE(replacement.ok());
-  ASSERT_TRUE(WriteBinaryTableFile(*replacement, path).ok());
+  {
+    std::ofstream truncate(path, std::ios::binary | std::ios::trunc);
+    truncate << "x";
+  }
 
   ASSERT_EQ(loaded->num_columns(), original.num_columns());
   for (size_t c = 0; c < original.num_columns(); ++c) {
     EXPECT_EQ(loaded->column(c).codes(), original.column(c).codes());
     EXPECT_EQ(loaded->column(c).labels(), original.column(c).labels());
   }
-  EXPECT_EQ(TableFingerprint(*loaded), fingerprint);
+  EXPECT_EQ(TableFingerprint(*loaded), TableFingerprint(original));
   std::remove(path.c_str());
+}
+
+// WriteBinaryTableFile renames a finished file over its target, so a
+// table mapped from the old file keeps reading the old inode: its codes
+// and fingerprint survive a rewrite with a smaller table. Rewriting the
+// target in place would cut the mapped pages off under it (SIGBUS).
+TEST(BinaryIoTest, MappedTableSurvivesItsFileBeingRewritten) {
+  const Table original = SampleTable();
+  const std::string path = testing::TempDir() + "/swope_mapped_rewrite.swpb";
+  ASSERT_TRUE(WriteBinaryTableFile(original, path).ok());
+  auto mapped = ReadBinaryTableFileMapped(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ASSERT_GT(mapped->MappedBytes(), 0u);
+
+  const Table replacement = ReplacementTable();
+  ASSERT_TRUE(
+      WriteBinaryTableFile(replacement, path, {.page_align = false}).ok());
+
+  ASSERT_EQ(mapped->num_columns(), original.num_columns());
+  for (size_t c = 0; c < original.num_columns(); ++c) {
+    EXPECT_EQ(mapped->column(c).codes(), original.column(c).codes());
+  }
+  // The mapped table's first fingerprint, so it hashes the mapped words.
+  EXPECT_EQ(TableFingerprint(*mapped), TableFingerprint(original));
+  auto reread = ReadBinaryTableFile(path);
+  ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+  EXPECT_EQ(TableFingerprint(*reread), TableFingerprint(replacement));
+  std::remove(path.c_str());
+}
+
+// A write that cannot finish leaves its target as it was and no
+// temporary file beside it. Here the target is a directory, which the
+// finished file cannot be renamed over.
+TEST(BinaryIoTest, FailedFileWriteLeavesTargetAndNoTempFile) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "swope_write_target";
+  std::filesystem::create_directories(dir);
+  const Status status = WriteBinaryTableFile(SampleTable(), dir.string());
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir.parent_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind(
+                  "swope_write_target.tmp", 0),
+              size_t{0})
+        << entry.path();
+  }
+  std::filesystem::remove(dir);
 }
 
 TEST(BinaryIoTest, PaddedImageHasMarkerAndRoundTrips) {

@@ -41,8 +41,8 @@ diff "$TMP/d.csv" "$TMP/rt.csv" || fail "convert round trip not lossless"
 diff "$TMP/orig.txt" "$TMP/reenc.txt" || fail "re-encoded answers differ"
 
 # convert in place: the heap loader copies the table out of its file
-# before returning, so truncating and rewriting that same file reproduces
-# it byte for byte (a table still reading from the file would not)
+# before returning, and the writer renames a finished temp file over its
+# target, so rewriting that same file reproduces it byte for byte
 cp "$TMP/d.swpb" "$TMP/inplace.swpb"
 "$CLI" convert --in="$TMP/inplace.swpb" --out="$TMP/inplace.swpb" \
   >/dev/null || fail "convert in place"

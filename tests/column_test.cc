@@ -1,6 +1,7 @@
 #include "src/table/column.h"
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -220,6 +221,54 @@ TEST(ColumnTest, ConcurrentFirstCountsAgree) {
     EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
     EXPECT_EQ(*seen[t], reference) << "thread " << t;
     EXPECT_EQ(entropies[t], entropies[0]) << "thread " << t;
+  }
+}
+
+// An append's successor digests its codes as a column built from them
+// in one go does, whether its digest extended the parent's (same width)
+// or was hashed afresh (the support crossed a power of two).
+TEST(ColumnTest, AppendedDigestEqualsOneShotDigest) {
+  const Column parent = SkewedColumn(1001, 4);
+  for (const uint32_t support : {37u, 64u, 65u}) {
+    SCOPED_TRACE("support=" + std::to_string(support));
+    const std::vector<ValueCode> tail = {36, 0, support - 1, 5};
+    auto appended = parent.Append(tail, support, {}, nullptr);
+    ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+    std::vector<ValueCode> codes = parent.codes();
+    codes.insert(codes.end(), tail.begin(), tail.end());
+    EXPECT_EQ(appended->codes(), codes);
+    EXPECT_EQ(appended->PayloadDigest(),
+              Column::Make("x", support, codes)->PayloadDigest());
+  }
+  EXPECT_NE(parent.Append({1}, 37, {}, nullptr)->PayloadDigest(),
+            parent.Append({2}, 37, {}, nullptr)->PayloadDigest());
+  EXPECT_TRUE(
+      parent.Append({1}, 36, {}, nullptr).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      parent.Append({37}, 37, {}, nullptr).status().IsInvalidArgument());
+}
+
+// Concurrent first requests for a fresh column's digest must hash once
+// and agree (CI runs this under TSan).
+TEST(ColumnTest, ConcurrentFirstDigestsAgree) {
+  constexpr int kThreads = 8;
+  const Column column = SkewedColumn(200000, 3);
+  std::atomic<int> arrived{0};
+  std::vector<uint64_t> digests(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      digests[t] = column.PayloadDigest();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  // A column built afresh from the same codes has a cache of its own.
+  const uint64_t reference =
+      Column::Make("x", 37, column.codes())->PayloadDigest();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(digests[t], reference) << "thread " << t;
   }
 }
 

@@ -1,17 +1,23 @@
 // Streaming ingest through the engine: appended rows change the answer
 // without a full re-encode, the fingerprint rotates so cached results
 // for the old contents are never served (and equals the fingerprint of
-// the same rows built in one go), and the serve front end exposes the
-// whole flow (ingest op, sketch path report) as JSON.
+// the same rows built in one go), the replaced contents' cached row
+// orders are dropped, concurrent ingests all land, and the serve front
+// end exposes the whole flow (ingest op, sketch path report) as JSON.
 
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/engine/query_engine.h"
 #include "src/engine/serve.h"
+#include "src/table/append.h"
 #include "src/table/binary_io.h"
 #include "src/table/column.h"
 #include "src/table/fingerprint.h"
@@ -138,6 +144,154 @@ TEST(EngineIngestTest, IngestedFingerprintEqualsOneShotBuild) {
     ASSERT_TRUE(dataset.ok());
     EXPECT_EQ((*dataset)->fingerprint, expected);
     EXPECT_EQ(TableFingerprint((*dataset)->table), expected);
+  }
+  std::remove(path.c_str());
+}
+
+// The gauge behind swope_cache_entries{cache="permutation"}.
+int64_t PermutationEntries(const QueryEngine& engine) {
+  const std::string text = engine.metrics().RenderPrometheusText();
+  const std::string key = "swope_cache_entries{cache=\"permutation\"} ";
+  const size_t at = text.find(key);
+  EXPECT_NE(at, std::string::npos) << text;
+  return at == std::string::npos ? -1
+                                 : std::stoll(text.substr(at + key.size()));
+}
+
+void ExpectSameAnswer(const QueryResponse& a, const QueryResponse& b) {
+  EXPECT_EQ(a.fingerprint, b.fingerprint);
+  EXPECT_EQ(a.stats.final_sample_size, b.stats.final_sample_size);
+  ASSERT_EQ(a.items.size(), b.items.size());
+  for (size_t i = 0; i < a.items.size(); ++i) {
+    EXPECT_EQ(a.items[i].index, b.items[i].index);
+    EXPECT_EQ(a.items[i].name, b.items[i].name);
+    EXPECT_EQ(a.items[i].estimate, b.items[i].estimate);
+    EXPECT_EQ(a.items[i].lower, b.items[i].lower);
+    EXPECT_EQ(a.items[i].upper, b.items[i].upper);
+  }
+}
+
+// Replacing or removing a dataset drops the row orders cached for its
+// old contents; the next query rebuilds its order and answers exactly as
+// a fresh engine holding the new contents does.
+TEST(EngineIngestTest, WritesDropTheReplacedContentsOrders) {
+  QueryEngine engine;
+  ASSERT_TRUE(engine.RegisterDataset("ds", MakeSmallTable()).ok());
+  QuerySpec spec = EntropyTopKSpec("ds", 1);
+  for (const uint64_t seed : {1, 2, 3}) {
+    spec.options.seed = seed;
+    ASSERT_TRUE(engine.Run(spec).ok());
+  }
+  EXPECT_EQ(PermutationEntries(engine), 3);
+  // Same contents again: the orders stay.
+  ASSERT_TRUE(engine.RegisterDataset("ds", MakeSmallTable()).ok());
+  EXPECT_EQ(PermutationEntries(engine), 3);
+
+  const std::vector<std::vector<std::string>> rows = {{"blue", "ring"},
+                                                      {"green", "disc"}};
+  ASSERT_TRUE(engine.Ingest("ds", rows).ok());
+  EXPECT_EQ(PermutationEntries(engine), 0);
+  auto after = engine.Run(spec);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(PermutationEntries(engine), 1);
+
+  QueryEngine fresh;
+  auto grown = AppendRowsToTable(MakeSmallTable(), rows);
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  ASSERT_TRUE(fresh.RegisterDataset("ds", *std::move(grown)).ok());
+  auto expected = fresh.Run(spec);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ExpectSameAnswer(*after, *expected);
+
+  ASSERT_TRUE(engine.RemoveDataset("ds").ok());
+  EXPECT_EQ(PermutationEntries(engine), 0);
+}
+
+// Writers are serialized: every batch of ingests racing on one dataset
+// lands, while queries run against it. Unserialized, two ingests could
+// both extend the same version and one batch vanished, though both
+// returned OK. The dataset is mapped, so the first ingest also moves it
+// from the mapping onto the heap under the running queries.
+TEST(EngineIngestTest, ConcurrentIngestsAllLand) {
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 2;
+  constexpr int kCalls = 50;
+  constexpr size_t kRowsPerCall = 10;
+  constexpr uint64_t kBaseRows = 20000;
+  constexpr size_t kColumns = 8;
+  // Base codes are 0..7; writer t appends rows of code 8 + t in every
+  // column, so each writer's rows can be counted in the final table.
+  std::vector<Column> columns;
+  for (size_t j = 0; j < kColumns; ++j) {
+    std::vector<ValueCode> codes(kBaseRows);
+    for (uint64_t i = 0; i < kBaseRows; ++i) {
+      codes[i] = static_cast<ValueCode>((i * (j + 1)) % 8);
+    }
+    columns.push_back(
+        Column::FromCodes("c" + std::to_string(j), std::move(codes)));
+  }
+  auto base = Table::Make(std::move(columns));
+  ASSERT_TRUE(base.ok());
+  const std::string path =
+      ::testing::TempDir() + "/engine_concurrent_ingest.swpb";
+  ASSERT_TRUE(WriteBinaryTableFile(*base, path).ok());
+
+  QueryEngine engine;
+  ASSERT_TRUE(engine
+                  .RegisterDatasetFile("ds", path, /*max_support=*/0,
+                                       /*sketch_epsilon=*/0.0,
+                                       /*sketch_threshold=*/1000,
+                                       /*mmap=*/true)
+                  .ok());
+  std::atomic<int> arrived{0};
+  std::atomic<int> writers_done{0};
+  std::atomic<int> failures{0};
+  std::atomic<int> queries{0};
+  auto wait_for_all = [&arrived] {
+    arrived.fetch_add(1);
+    while (arrived.load() < kWriters + kReaders) std::this_thread::yield();
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      const std::vector<std::vector<std::string>> rows(
+          kRowsPerCall,
+          std::vector<std::string>(kColumns, std::to_string(8 + t)));
+      wait_for_all();
+      for (int c = 0; c < kCalls; ++c) {
+        if (!engine.Ingest("ds", rows).ok()) failures.fetch_add(1);
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      QuerySpec spec = EntropyTopKSpec("ds", 2);
+      spec.options.seed = static_cast<uint64_t>(r) * 1000;
+      wait_for_all();
+      do {
+        ++spec.options.seed;
+        if (!engine.Run(spec).ok()) failures.fetch_add(1);
+        queries.fetch_add(1);
+      } while (writers_done.load() < kWriters);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(queries.load(), kReaders);
+
+  constexpr uint64_t kPerWriter = kCalls * kRowsPerCall;
+  auto dataset = engine.registry().Get("ds");
+  ASSERT_TRUE(dataset.ok());
+  const Table& table = (*dataset)->table;
+  EXPECT_EQ(table.num_rows(), kBaseRows + kWriters * kPerWriter);
+  EXPECT_EQ(engine.GetCounters().ingest_rows, kWriters * kPerWriter);
+  for (size_t j = 0; j < kColumns; ++j) {
+    const std::vector<uint64_t>& counts = table.column(j).ValueCounts();
+    ASSERT_EQ(counts.size(), 8u + kWriters) << "column " << j;
+    for (int t = 0; t < kWriters; ++t) {
+      EXPECT_EQ(counts[8 + t], kPerWriter) << "column " << j << " writer " << t;
+    }
   }
   std::remove(path.c_str());
 }

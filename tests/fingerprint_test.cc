@@ -92,7 +92,8 @@ std::vector<std::vector<std::string>> AsRows(
 }
 
 TEST(FingerprintTest, EqualAcrossEveryConstructionPath) {
-  for (const uint32_t width : {0u, 1u, 3u, 7u, 8u, 13u}) {
+  for (const uint32_t width : {0u, 1u, 2u, 3u, 5u, 7u, 8u, 13u, 16u, 17u,
+                               32u}) {
     // 128 rows end every width on a word boundary; 131 and 1001 end
     // mid-word for every width above 0.
     for (const uint64_t rows : {uint64_t{128}, uint64_t{131},
@@ -138,11 +139,12 @@ TEST(FingerprintTest, EqualAcrossEveryConstructionPath) {
 
       // A chain of appends onto the first half: same width, then the
       // crossing batch, then same width again.
-      Table appended = OneColumnTable(
+      const Table first_half = OneColumnTable(
           std::vector<ValueCode>(
               codes.begin(),
               codes.begin() + static_cast<std::ptrdiff_t>(half)),
           narrow);
+      Table appended = first_half;
       for (const auto& [begin, end] :
            {std::pair{half, cut1}, std::pair{cut1, cut2},
             std::pair{cut2, static_cast<size_t>(rows)}}) {
@@ -154,6 +156,18 @@ TEST(FingerprintTest, EqualAcrossEveryConstructionPath) {
       ASSERT_EQ(appended.column(0).support(), support);
       ASSERT_EQ(appended.column(0).codes(), codes);
       EXPECT_EQ(TableFingerprint(appended), expected);
+
+      // The same rows one per append: each digest extends the last one,
+      // so the chain resumes at every word boundary and at each partial
+      // word, before and after the width crossing at cut1.
+      Table one_by_one = first_half;
+      for (size_t i = half; i < rows; ++i) {
+        auto next = AppendRowsToTable(one_by_one, AsRows(codes, i, i + 1));
+        ASSERT_TRUE(next.ok()) << next.status().ToString();
+        one_by_one = std::move(next).value();
+      }
+      ASSERT_EQ(one_by_one.column(0).codes(), codes);
+      EXPECT_EQ(TableFingerprint(one_by_one), expected);
 
       // Only the last row's code changed: a different print.
       if (support > 1) {

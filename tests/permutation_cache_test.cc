@@ -72,6 +72,26 @@ TEST(PermutationCacheTest, EvictsOverCapacityButHandlesSurvive) {
   EXPECT_EQ(second->size(), 64u);
 }
 
+TEST(PermutationCacheTest, EraseDropsOnlyThatFingerprint) {
+  PermutationCache cache(8);
+  auto held = cache.GetOrCreate(7, 100, 1, false);
+  cache.GetOrCreate(7, 100, 2, false);
+  cache.GetOrCreate(7, 100, 0, true);
+  auto other = cache.GetOrCreate(8, 100, 1, false);
+  cache.GetOrCreate(6, 100, 1, false);
+  cache.Erase(7);
+  EXPECT_EQ(cache.GetStats().entries, 2u);
+  EXPECT_EQ(cache.GetStats().evictions, 0u);
+  // A holder keeps its order; the neighbours' entries are untouched.
+  EXPECT_EQ(*held, ShuffledRowOrder(100, 1));
+  EXPECT_EQ(cache.GetOrCreate(8, 100, 1, false).get(), other.get());
+  cache.Erase(9);  // nothing cached under it
+  EXPECT_EQ(cache.GetStats().entries, 2u);
+  // An erased key builds afresh, with the same order.
+  EXPECT_EQ(*cache.GetOrCreate(7, 100, 1, false), *held);
+  EXPECT_EQ(cache.GetStats().entries, 3u);
+}
+
 TEST(PermutationCacheTest, ZeroCapacityBuildsFreshOrders) {
   PermutationCache cache(0);
   auto a = cache.GetOrCreate(7, 64, 42, false);

@@ -1,6 +1,8 @@
 #include "src/common/result.h"
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,6 +41,17 @@ TEST(ResultTest, MoveOutValue) {
   Result<std::vector<int>> result(std::vector<int>{1, 2, 3});
   std::vector<int> moved = std::move(result).value();
   EXPECT_EQ(moved.size(), 3u);
+}
+
+TEST(ResultTest, DereferencingAnRvalueMovesTheValue) {
+  auto owned = std::make_unique<int>(9);
+  const int* raw = owned.get();
+  Result<std::unique_ptr<int>> result(std::move(owned));
+  // Compiles only because *std::move(result) yields an rvalue: the
+  // const& overload would need to copy a move-only value.
+  std::unique_ptr<int> moved = *std::move(result);
+  EXPECT_EQ(moved.get(), raw);
+  EXPECT_EQ(*moved, 9);
 }
 
 TEST(ResultTest, CopyPreservesState) {

@@ -51,15 +51,13 @@ TEST(TableTest, RejectsMismatchedRowCounts) {
 
 TEST(TableTest, RejectsMoreRowsThanSamplingCanIndex) {
   // Sampling indexes rows with uint32_t, so a table of 2^32 rows would be
-  // silently truncated. A width-0 (constant) column stores no payload, so
-  // the trusted factory builds one that long without allocating or
-  // scanning.
+  // silently truncated. A width-0 (constant) column stores no payload and
+  // admits no code to check, so FromPacked builds one that long without
+  // allocating or scanning.
   const uint64_t too_many = Table::kMaxRows + 1;
   auto packed = PackedCodes::FromWords(too_many, 0, {});
   ASSERT_TRUE(packed.ok()) << packed.status().ToString();
-  auto column = Column::FromPackedTrusted("constant", 1,
-                                          std::move(packed).value(), {},
-                                          nullptr);
+  auto column = Column::FromPacked("constant", 1, std::move(packed).value());
   ASSERT_TRUE(column.ok()) << column.status().ToString();
   ASSERT_EQ(column->size(), too_many);
   std::vector<Column> columns;

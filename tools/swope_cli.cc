@@ -20,6 +20,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/baselines/exact.h"
@@ -188,7 +189,7 @@ Result<Table> LoadTable(const Flags& flags) {
   const uint64_t max_support =
       flags.GetUint("max-support", default_max_support);
   if (max_support > 0) {
-    return table->DropHighSupportColumns(
+    return std::move(*table).DropHighSupportColumns(
         static_cast<uint32_t>(max_support));
   }
   return table;
