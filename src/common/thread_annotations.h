@@ -43,6 +43,10 @@
 #define TRY_ACQUIRE(...) \
   SWOPE_THREAD_ANNOTATION__(try_acquire_capability(__VA_ARGS__))
 
+// Documents that a function returns a reference to the given mutex, so
+// locking the result counts as locking that member.
+#define RETURN_CAPABILITY(x) SWOPE_THREAD_ANNOTATION__(lock_returned(x))
+
 // Escape hatch for functions the analysis cannot model.
 #define NO_THREAD_SAFETY_ANALYSIS \
   SWOPE_THREAD_ANNOTATION__(no_thread_safety_analysis)

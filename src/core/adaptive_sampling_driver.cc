@@ -65,7 +65,8 @@ Result<AdaptiveSamplingDriver::Output> AdaptiveSamplingDriver::Run(
   const double p_iter =
       pf / (scorer.bounds_per_candidate() * static_cast<double>(i_max) *
             static_cast<double>(scorer.num_candidates()));
-  scorer.Bind(n, p_iter);
+  SWOPE_RETURN_NOT_OK(
+      scorer.Bind(n, p_iter, SampleSchedule{m0, options_.growth_factor}));
 
   std::pmr::memory_resource* const memory = ResolveQueryMemory(options_);
   Output output(memory);

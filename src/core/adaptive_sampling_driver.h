@@ -21,7 +21,10 @@
 //       BeginRound before any candidate update,
 //   (2) a candidate's update touches only that candidate's state and
 //       absorbs the slice in permutation order, so each counter sees the
-//       same sequence as in the serial loop, and
+//       same sequence as in the serial loop (an exact entropy candidate's
+//       counts are its column's prefix state, shared with other queries
+//       under the column's mutex; they are the integer counts of the
+//       same prefix whoever took them, src/core/shared_prefix.h), and
 //   (3) every reduction over candidates (k-th bounds, stopping slack,
 //       filter classification) runs serially afterwards, in the fixed
 //       active-candidate order.
@@ -49,6 +52,7 @@
 #include "src/common/result.h"
 #include "src/core/query_options.h"
 #include "src/core/query_result.h"
+#include "src/core/shared_prefix.h"
 #include "src/table/table.h"
 
 namespace swope {
@@ -104,10 +108,15 @@ class Scorer {
   /// value and a pair per candidate, the paper's and Exact*'s unit).
   virtual uint64_t CellsPerRow(size_t active) const = 0;
 
-  /// Fixes the query-wide constants before the first round.
-  void Bind(uint64_t n, double p_iter) {
+  /// Fixes the query-wide constants before the first round: the row
+  /// count, the failure budget per interval, and the sample-size schedule
+  /// every round follows. A scorer that keeps per-schedule state resolves
+  /// it here.
+  virtual Status Bind(uint64_t n, double p_iter,
+                      const SampleSchedule& /*schedule*/) {
     n_ = n;
     p_iter_ = p_iter;
+    return Status::OK();
   }
 
   /// Absorbs order[begin..end) into candidate-independent shared state

@@ -16,6 +16,7 @@
 
 #include "src/common/result.h"
 #include "src/core/query_options.h"
+#include "src/core/shared_prefix.h"
 #include "src/table/shuffle.h"
 
 namespace swope {
@@ -35,10 +36,10 @@ class PrefixSampler {
             sequential ? IdentityOrder(num_rows)
                        : ShuffledRowOrder(num_rows, seed))) {}
 
-  /// Adopts an externally owned order (the engine's PermutationCache);
-  /// `order` must be a permutation of [0, order->size()) and non-null.
-  explicit PrefixSampler(std::shared_ptr<const std::vector<uint32_t>> order)
-      : order_(std::move(order)) {}
+  /// Adopts the order of a SharedPrefix (the engine's PermutationCache),
+  /// which must be non-null; the sampler keeps it alive.
+  explicit PrefixSampler(std::shared_ptr<const SharedPrefix> shared)
+      : order_(shared, &shared->order()) {}
 
   /// Total number of rows.
   uint64_t num_rows() const { return order_->size(); }
@@ -76,12 +77,12 @@ class PrefixSampler {
 /// validating its length), otherwise a fresh per-query order.
 inline Result<PrefixSampler> MakePrefixSampler(uint32_t num_rows,
                                                const QueryOptions& options) {
-  if (options.shared_order != nullptr) {
-    if (options.shared_order->size() != num_rows) {
+  if (options.shared_prefix != nullptr) {
+    if (options.shared_prefix->order().size() != num_rows) {
       return Status::InvalidArgument(
-          "shared_order length does not match the queried table");
+          "shared_prefix order length does not match the queried table");
     }
-    return PrefixSampler(options.shared_order);
+    return PrefixSampler(options.shared_prefix);
   }
   return PrefixSampler(num_rows, options.seed, options.sequential_sampling);
 }

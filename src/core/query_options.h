@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <memory>
 #include <memory_resource>
-#include <vector>
 
 #include "src/common/status.h"
 
@@ -16,6 +15,7 @@ namespace swope {
 class CodeScratchArena;
 struct ExecControl;
 class QueryTrace;
+class SharedPrefix;
 class StageProfiler;
 class ThreadPool;
 
@@ -68,12 +68,17 @@ struct QueryOptions {
   bool sequential_sampling = false;
 
   /// Engine hook: a pre-shuffled row order to sample from, shared across
-  /// concurrent queries over the same table (sound per Section 6.1: one
-  /// exchangeable order serves every query). Must be a permutation of
-  /// [0, N) for the queried table; when null the driver draws its own
-  /// permutation from `seed`. Ignored by ResultCache canonicalization --
-  /// the engine only injects an order equal to what `seed` would produce.
-  std::shared_ptr<const std::vector<uint32_t>> shared_order;
+  /// queries over the same table contents (sound per Section 6.1: one
+  /// exchangeable order serves every query), together with the entropy
+  /// prefix counts those queries have taken (src/core/shared_prefix.h).
+  /// The order must be a permutation of [0, N) for the queried table, and
+  /// every query handed one SharedPrefix must be over the same contents.
+  /// When null the driver draws its own permutation from `seed` and the
+  /// entropy scorer counts into a query-local state. Ignored by
+  /// ResultCache canonicalization -- the engine only injects an order
+  /// equal to what `seed` would produce, and shared counts change no
+  /// answer bytes.
+  std::shared_ptr<SharedPrefix> shared_prefix;
 
   /// Engine hook: cooperative cancellation / deadline, polled at every
   /// sample-doubling round. Not owned; may be null. The caller keeps the

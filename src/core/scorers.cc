@@ -4,9 +4,11 @@
 #include "src/core/scorers.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <utility>
 
+#include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 
 namespace swope {
@@ -53,60 +55,104 @@ EntropyScorer::EntropyScorer(const Table& table, const QueryOptions& options)
     : Scorer(options.memory),
       table_(table),
       profiler_(options.profiler),
+      shared_(options.shared_prefix.get()),
       views_(memory_),
-      counters_(memory_),
       sketches_(memory_),
       scratch_(options.scratch != nullptr ? *options.scratch : own_scratch_) {
   const size_t h = table.num_columns();
   columns_.resize(h);
   views_.reserve(h);
-  counters_.reserve(h);
   sketches_.resize(h);
   for (size_t j = 0; j < h; ++j) {
     columns_[j] = j;
     views_.emplace_back(table.column(j));
-    const uint32_t support = table.column(j).support();
-    if (UsesSketchPath(support, options)) {
+    if (UsesSketchPath(table.column(j).support(), options)) {
       sketches_[j] = MakeScorerSketch(options, j, kSketchHeavyCapacity);
-      counters_.emplace_back(0, memory_);  // placeholder; the sketch is live
       ++sketch_candidates_;
-    } else {
-      counters_.emplace_back(support, memory_);
     }
   }
   intervals_.resize(h);
+}
+
+Status EntropyScorer::Bind(uint64_t n, double p_iter,
+                           const SampleSchedule& schedule) {
+  SWOPE_RETURN_NOT_OK(Scorer::Bind(n, p_iter, schedule));
+  if (shared_ != nullptr) {
+    SWOPE_ASSIGN_OR_RETURN(shared_state_, shared_->Entropy(table_, schedule));
+    prefix_ = shared_state_.get();
+  } else {
+    prefix_ = &own_prefix_.emplace(table_, schedule, memory_);
+  }
+  return Status::OK();
+}
+
+void EntropyScorer::BeginRound(const std::vector<uint32_t>& /*order*/,
+                               uint64_t /*begin*/, uint64_t /*end*/,
+                               uint64_t /*m*/) {
+  ++rounds_begun_;
 }
 
 void EntropyScorer::UpdateCandidate(size_t c,
                                     const std::vector<uint32_t>& order,
                                     uint64_t begin, uint64_t end,
                                     uint64_t m) {
-  // Gather-then-count: decode the round's slice once, then feed the span.
-  CodeScratchArena::Lease lease(scratch_);
-  const ValueCode* codes;
-  {
-    StageTimer timer(profiler_, Stage::kGather);
-    codes = views_[c].Gather(order, begin, end, lease.buffer());
-  }
-  EntropyInterval interval;
+  const uint64_t count = end - begin;
   if (sketches_[c] != nullptr) {
+    // Gather-then-count: decode the round's slice once, then feed the
+    // span.
+    CodeScratchArena::Lease lease(scratch_);
+    const ValueCode* codes;
+    {
+      StageTimer timer(profiler_, Stage::kGather);
+      codes = views_[c].Gather(order, begin, end, lease.buffer());
+    }
     {
       StageTimer timer(profiler_, Stage::kCount);
-      sketches_[c]->AddCodes(codes, end - begin);
+      sketches_[c]->AddCodes(codes, count);
     }
     StageTimer timer(profiler_, Stage::kIntervalUpdate);
-    interval = MakeSketchEntropyInterval(sketches_[c]->Summarize(),
-                                         views_[c].support(), n_, m, p_iter_);
-  } else {
-    {
-      StageTimer timer(profiler_, Stage::kCount);
-      counters_[c].AddCodes(codes, end - begin);
-    }
-    StageTimer timer(profiler_, Stage::kIntervalUpdate);
-    interval =
-        MakeEntropyInterval(counters_[c].SampleEntropy(), views_[c].support(),
-                            n_, m, p_iter_);
+    const EntropyInterval interval = MakeSketchEntropyInterval(
+        sketches_[c]->Summarize(), views_[c].support(), n_, m, p_iter_);
+    intervals_[c] = {interval.lower, interval.upper, interval.bias};
+    return;
   }
+
+  // H_S at this round's schedule point. A candidate active now was
+  // active in every earlier round of this query, so the state covers
+  // every earlier point: it either covers this one too, or its counts end
+  // exactly at `begin` and this round's slice extends them.
+  const size_t point = rounds_begun_ - 1;
+  ColumnPrefix& prefix = prefix_->column(c);
+  double sample_entropy;
+  bool counted;
+  {
+    MutexLock lock(prefix.mutex());
+    counted = prefix.points() <= point;
+    if (counted) {
+      assert(prefix.points() == point && prefix.depth() == begin);
+      CodeScratchArena::Lease lease(scratch_);
+      const ValueCode* codes;
+      {
+        StageTimer timer(profiler_, Stage::kGather);
+        codes = views_[c].Gather(order, begin, end, lease.buffer());
+      }
+      {
+        StageTimer timer(profiler_, Stage::kCount);
+        prefix.AddCodes(codes, count);
+      }
+      StageTimer timer(profiler_, Stage::kIntervalUpdate);
+      prefix.RecordPoint();
+    }
+    sample_entropy = prefix.entropy(point);
+  }
+  if (shared_ != nullptr) {
+    Counter* tally =
+        counted ? shared_->counted_cells() : shared_->reused_cells();
+    if (tally != nullptr) tally->Increment(count);
+  }
+  StageTimer timer(profiler_, Stage::kIntervalUpdate);
+  const EntropyInterval interval = MakeEntropyInterval(
+      sample_entropy, views_[c].support(), n_, m, p_iter_);
   intervals_[c] = {interval.lower, interval.upper, interval.bias};
 }
 

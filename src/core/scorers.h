@@ -1,7 +1,9 @@
 // The three Scorer implementations behind the SWOPE entry points
 // (internal to src/core/ — see adaptive_sampling_driver.h).
 //
-//   EntropyScorer  one FrequencyCounter per column; Lemma 3 intervals.
+//   EntropyScorer  per column, H_S read from (or counted into) the prefix
+//                  state of the query's schedule (src/core/
+//                  shared_prefix.h); Lemma 3 intervals.
 //   MiScorer       per candidate, one joint PairCounter, the only sampled
 //                  quantity; the marginals H(t) and H(a) are exact, read
 //                  off each column's cached counts (Column::Entropy).
@@ -33,14 +35,15 @@
 #include <cstdint>
 #include <memory>
 #include <memory_resource>
+#include <optional>
 #include <vector>
 
 #include "src/core/adaptive_sampling_driver.h"
 #include "src/core/bounds.h"
 #include "src/core/code_scratch.h"
-#include "src/core/frequency_counter.h"
 #include "src/core/pair_counter.h"
 #include "src/core/query_options.h"
+#include "src/core/shared_prefix.h"
 #include "src/core/sketch_estimation.h"
 #include "src/sketch/frequency_provider.h"
 #include "src/table/column_view.h"
@@ -48,13 +51,24 @@
 
 namespace swope {
 
-/// Scores every column of the table by its empirical entropy.
+/// Scores every column of the table by its empirical entropy. An exact
+/// column's H_S at each round comes from its ColumnPrefix in the
+/// schedule's EntropyPrefix: the SharedPrefix's (QueryOptions::
+/// shared_prefix) when the engine passes one, else a query-local state in
+/// the query's memory. Only a round no query has reached yet is gathered
+/// and counted.
 class EntropyScorer : public Scorer {
  public:
   EntropyScorer(const Table& table, const QueryOptions& options);
 
   double bounds_per_candidate() const override { return 1.0; }
   uint64_t CellsPerRow(size_t active) const override { return active; }
+  /// Resolves the schedule's prefix state.
+  Status Bind(uint64_t n, double p_iter,
+              const SampleSchedule& schedule) override;
+  /// Advances the schedule point this round's updates read or record.
+  void BeginRound(const std::vector<uint32_t>& order, uint64_t begin,
+                  uint64_t end, uint64_t m) override;
   void UpdateCandidate(size_t c, const std::vector<uint32_t>& order,
                        uint64_t begin, uint64_t end, uint64_t m) override;
   /// Algorithm 1 line 8: (kth_upper - 2*lambda - b_max) / kth_upper
@@ -68,11 +82,22 @@ class EntropyScorer : public Scorer {
   const Table& table_;
   /// Stage-attribution hook (QueryOptions::profiler); null when off.
   StageProfiler* const profiler_;
+  /// QueryOptions::shared_prefix; null for a library call without one.
+  SharedPrefix* const shared_;
   std::pmr::vector<ColumnView> views_;
-  // Exactly one of counters_[c] (sized 0 when sketched) and sketches_[c]
-  // (null when exact) is live per candidate.
-  std::pmr::vector<FrequencyCounter> counters_;
+  // A sketched candidate counts into sketches_[c]; an exact one (null
+  // there) reads and extends prefix_->column(c).
   std::pmr::vector<std::unique_ptr<SketchFrequencyProvider>> sketches_;
+  /// The schedule's state in shared_, held for the query's duration.
+  std::shared_ptr<EntropyPrefix> shared_state_;
+  /// The query-local state when shared_ is null; its columns allocate
+  /// from the query's memory.
+  std::optional<EntropyPrefix> own_prefix_;
+  /// The state this query reads (shared_state_ or own_prefix_); set by
+  /// Bind.
+  EntropyPrefix* prefix_ = nullptr;
+  /// Rounds begun; round r (from 0) reads or records schedule point r.
+  uint32_t rounds_begun_ = 0;
   // Decode buffers, recycled across rounds and shared by the pool
   // workers: the engine-pooled arena (QueryOptions::scratch) when
   // provided, else a query-local fallback.

@@ -15,24 +15,33 @@ void PermutationCache::BindMetrics(MetricsRegistry* metrics) {
   evictions_metric_ =
       metrics->GetCounter("swope_cache_evictions_total", labels);
   entries_metric_ = metrics->GetGauge("swope_cache_entries", labels);
+  counted_cells_ =
+      metrics->GetCounter("swope_prefix_cells_total", {{"source", "counted"}});
+  reused_cells_ =
+      metrics->GetCounter("swope_prefix_cells_total", {{"source", "reused"}});
 }
 
-std::shared_ptr<const std::vector<uint32_t>> PermutationCache::GetOrCreate(
+std::shared_ptr<SharedPrefix> PermutationCache::GetOrCreate(
     uint64_t fingerprint, uint32_t num_rows, uint64_t seed, bool sequential) {
   const Key key{fingerprint, sequential ? 0 : seed, sequential};
+  Counter* counted_cells;
+  Counter* reused_cells;
   {
     MutexLock lock(mutex_);
     auto it = entries_.find(key);
-    if (it != entries_.end() && it->second.order->size() == num_rows) {
+    if (it != entries_.end() &&
+        it->second.prefix->order().size() == num_rows) {
       ++hits_;
       if (hits_metric_ != nullptr) hits_metric_->Increment();
       it->second.last_used = ++tick_;
-      return it->second.order;
+      return it->second.prefix;
     }
+    counted_cells = counted_cells_;
+    reused_cells = reused_cells_;
   }
 
-  // Build outside the lock; the result is deterministic, so concurrent
-  // builders for one key produce identical vectors and any may win.
+  // Build outside the lock; the order is deterministic, so concurrent
+  // builders for one key produce identical orders and any may win.
   std::vector<uint32_t> order;
   if (sequential) {
     order.resize(num_rows);
@@ -40,22 +49,22 @@ std::shared_ptr<const std::vector<uint32_t>> PermutationCache::GetOrCreate(
   } else {
     order = ShuffledRowOrder(num_rows, seed);
   }
-  auto shared =
-      std::make_shared<const std::vector<uint32_t>>(std::move(order));
+  auto shared = std::make_shared<SharedPrefix>(std::move(order),
+                                               counted_cells, reused_cells);
 
   MutexLock lock(mutex_);
   ++misses_;
   if (misses_metric_ != nullptr) misses_metric_->Increment();
   if (capacity_ == 0) return shared;
   auto it = entries_.find(key);
-  if (it != entries_.end() && it->second.order->size() == num_rows) {
+  if (it != entries_.end() && it->second.prefix->order().size() == num_rows) {
     // Raced with another builder; reuse the incumbent so concurrent
-    // queries converge on one allocation.
+    // queries converge on one order and one set of counts.
     it->second.last_used = ++tick_;
-    return it->second.order;
+    return it->second.prefix;
   }
   Entry& entry = entries_[key];
-  entry.order = shared;
+  entry.prefix = shared;
   entry.last_used = ++tick_;
   EvictToCapacity();
   if (entries_metric_ != nullptr) {
@@ -82,6 +91,10 @@ PermutationCache::Stats PermutationCache::GetStats() const {
   stats.misses = misses_;
   stats.evictions = evictions_;
   stats.entries = entries_.size();
+  if (counted_cells_ != nullptr) {
+    stats.prefix_cells_counted = counted_cells_->Value();
+    stats.prefix_cells_reused = reused_cells_->Value();
+  }
   return stats;
 }
 

@@ -188,9 +188,9 @@ Status QueryEngine::RegisterDatasetFile(const std::string& name,
     *table = std::move(*table).DropHighSupportColumns(max_support);
   }
   if (sketch_epsilon > 0.0) {
-    auto sketched =
-        AttachSketches(*table, sketch_epsilon, kSketchDelta, sketch_threshold,
-                       /*seed=*/0);
+    auto sketched = AttachSketches(*std::move(table), sketch_epsilon,
+                                   kSketchDelta, sketch_threshold,
+                                   /*seed=*/0);
     if (!sketched.ok()) return sketched.status();
     *table = *std::move(sketched);
   }
@@ -336,9 +336,6 @@ Result<QueryResponse> QueryEngine::Execute(const DatasetHandle& dataset,
   // profiler's stage sum is compared against this (serve's profile
   // block, the CI smoke), so both start here.
   Stopwatch exec_wall;
-  // Interposer baseline for the per-query `allocs` profile field; a
-  // constant 0 in production binaries (src/common/alloc_hook.h).
-  const uint64_t allocs_before = AllocationCount();
   // The profiler exists when the client asked for it OR slow-query
   // capture is armed: a query only known to be slow after the fact must
   // already have been profiled.
@@ -346,6 +343,11 @@ Result<QueryResponse> QueryEngine::Execute(const DatasetHandle& dataset,
   if (resolved.profile || config_.slow_query_ms > 0) {
     profiler = std::make_shared<StageProfiler>();
   }
+  // Interposer baseline for the per-query `allocs` profile field, which
+  // counts the query's own allocations from admission through dispatch
+  // (not the profiler's or the response's bookkeeping); a constant 0 in
+  // production binaries (src/common/alloc_hook.h).
+  const uint64_t allocs_before = AllocationCount();
 
   ExecControl control;
   control.token = cancel;
@@ -388,19 +390,20 @@ Result<QueryResponse> QueryEngine::Execute(const DatasetHandle& dataset,
   // concurrent query runs its candidate updates on this one pool.
   options.pool = intra_pool_.get();
   if (table.num_rows() > 0) {
-    options.shared_order = permutation_cache_.GetOrCreate(
+    options.shared_prefix = permutation_cache_.GetOrCreate(
         dataset->fingerprint, static_cast<uint32_t>(table.num_rows()),
         options.seed, options.sequential_sampling);
   }
 
   auto response = Dispatch(table, resolved, options);
+  const uint64_t allocs = AllocationCount() - allocs_before;
   if (!response.ok()) return response.status();
   response->fingerprint = dataset->fingerprint;
   response->canonical_key = resolved.canonical_key;
   if (profiler != nullptr) {
     const double wall_ms = exec_wall.ElapsedMillis();
     profiler->SetWallMs(wall_ms);
-    profiler->SetAllocs(AllocationCount() - allocs_before);
+    profiler->SetAllocs(allocs);
     if (config_.slow_query_ms > 0 && wall_ms >= config_.slow_query_ms) {
       event_log_.Append(EventKind::kSlowQuery, dataset->name,
                         SlowQueryDetail(*profiler, trace.get()), wall_ms);
@@ -524,6 +527,8 @@ EngineCounters QueryEngine::GetCounters() const {
   const PermutationCache::Stats perms = permutation_cache_.GetStats();
   counters.permutation_cache_hits = perms.hits;
   counters.permutation_cache_misses = perms.misses;
+  counters.prefix_cells_counted = perms.prefix_cells_counted;
+  counters.prefix_cells_reused = perms.prefix_cells_reused;
   counters.registry_evictions = registry_.GetStats().evictions;
   counters.events_logged = event_log_.TotalAppended();
 

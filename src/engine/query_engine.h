@@ -1,18 +1,20 @@
 // QueryEngine: the long-lived serving layer over the SWOPE library.
 //
 // One engine owns a DatasetRegistry of resident tables, a ResultCache of
-// certified answers, a PermutationCache of shared row orders, and a
-// ThreadPool executor. QueryEngine::Run is the single dispatcher for all
-// six query kinds; Submit runs the same path asynchronously on the pool.
+// certified answers, a PermutationCache of shared row orders and the
+// entropy prefix counts taken over them, and a ThreadPool executor.
+// QueryEngine::Run is the single dispatcher for all six query kinds;
+// Submit runs the same path asynchronously on the pool.
 //
 // Run's pipeline:
 //   1. resolve the spec against the named dataset (canonicalization),
 //   2. serve from ResultCache when a prior run certified the same
 //      (fingerprint, canonical spec) -- zero rows sampled,
 //   3. otherwise admit the query (bounded in-flight concurrency; waiting
-//      respects the query's deadline), attach the shared permutation and
-//      an ExecControl (cancellation + deadline, polled by the driver at
-//      every sample-doubling round), execute, and cache the answer.
+//      respects the query's deadline), attach the shared prefix (the
+//      permutation and its entropy counts) and an ExecControl
+//      (cancellation + deadline, polled by the driver at every
+//      sample-doubling round), execute, and cache the answer.
 //
 // Thread safety: every public method is safe to call concurrently.
 
@@ -142,6 +144,12 @@ struct EngineCounters {
   uint64_t queries_exact = 0;
   /// Rows appended through Ingest.
   uint64_t ingest_rows = 0;
+  /// Entropy cells executed queries counted into the shared prefix state
+  /// (src/core/shared_prefix.h), and cells they read from it instead.
+  /// Their sum is the summed cells_scanned of those queries' exact-path
+  /// columns; sketched columns and MI/NMI queries add to neither.
+  uint64_t prefix_cells_counted = 0;
+  uint64_t prefix_cells_reused = 0;
   /// Worker utilization per pool, aggregated over the pool's workers from
   /// ThreadPool::GetWorkerStats: busy fraction = run / (run + idle), in
   /// [0, 1]; 0 before any task ran. intra_* are 0 when the engine has no
@@ -261,9 +269,10 @@ class QueryEngine {
                                  const QueryOptions& options);
 
   /// Erases the row orders cached for `old`, the dataset `name` held
-  /// before a write, unless `name` still holds the same contents. A
-  /// dataset with those contents under another name rebuilds its order
-  /// on next use, with the same answers.
+  /// before a write, and the entropy prefix counts taken over them,
+  /// unless `name` still holds the same contents. A dataset with those
+  /// contents under another name rebuilds its order and counts on next
+  /// use, with the same answers.
   void DropReplacedOrders(const std::string& name,
                           const Result<DatasetHandle>& old)
       REQUIRES(writer_mutex_);

@@ -76,11 +76,11 @@ Status QuerySpec::Validate() const {
     return Status::InvalidArgument("query spec: dataset name is required");
   }
   SWOPE_RETURN_NOT_OK(options.Validate());
-  if (options.shared_order != nullptr || options.control != nullptr ||
+  if (options.shared_prefix != nullptr || options.control != nullptr ||
       options.pool != nullptr || options.trace != nullptr ||
       options.profiler != nullptr) {
     return Status::InvalidArgument(
-        "query spec: shared_order / control / pool / trace / profiler are "
+        "query spec: shared_prefix / control / pool / trace / profiler are "
         "engine-managed and must be null on submitted specs (use "
         "QuerySpec::trace / QuerySpec::profile to request them)");
   }

@@ -67,7 +67,7 @@ struct QuerySpec {
   /// (names win when a column is literally named like a number).
   std::string target;
 
-  /// Sampling parameters; QueryOptions::shared_order, ::control, and
+  /// Sampling parameters; QueryOptions::shared_prefix, ::control, and
   /// ::pool are engine-managed and must be left null on submitted specs.
   QueryOptions options;
 

@@ -1,11 +1,14 @@
 #include "src/engine/serve.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <span>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace swope {
@@ -29,12 +32,47 @@ struct ParsedRequest {
   std::vector<std::string> rows;
 };
 
+// The keys each op accepts (serve.h lists them with their values). A
+// misspelt key would otherwise leave its setting at the default without
+// a word: `epsilom=0.01` ran at epsilon = 0.1.
+constexpr std::string_view kLoadKeys[] = {
+    "name", "path", "max-support", "sketch-epsilon", "sketch-threshold",
+    "mmap"};
+constexpr std::string_view kQueryKeys[] = {
+    "dataset", "kind", "k", "eta", "target", "epsilon", "seed", "pf", "m0",
+    "growth", "sketch-threshold", "sketch-epsilon", "sequential",
+    "timeout-ms", "trace", "profile"};
+constexpr std::string_view kIngestKeys[] = {"dataset", "row", "csv"};
+constexpr std::string_view kUnloadKeys[] = {"name"};
+constexpr std::string_view kEventsKeys[] = {"n"};
+
+struct OpKeys {
+  std::string_view op;
+  std::span<const std::string_view> keys;
+};
+constexpr OpKeys kOpKeys[] = {
+    {"load", kLoadKeys},     {"query", kQueryKeys},   {"ingest", kIngestKeys},
+    {"unload", kUnloadKeys}, {"events", kEventsKeys}, {"datasets", {}},
+    {"stats", {}},           {"metrics", {}},         {"quit", {}},
+};
+
+// The accepted keys of `op`, or null for an op serve does not know (the
+// dispatcher reports that).
+const std::span<const std::string_view>* AcceptedKeys(std::string_view op) {
+  for (const OpKeys& entry : kOpKeys) {
+    if (entry.op == op) return &entry.keys;
+  }
+  return nullptr;
+}
+
 // Any key but `row` may appear once; a repeat is an error rather than a
-// silent last-one-wins.
+// silent last-one-wins. A key its op does not accept is an error too,
+// naming the first such key on the line.
 Result<ParsedRequest> ParseRequest(const std::string& line) {
   std::istringstream stream(line);
   ParsedRequest request;
   stream >> request.op;
+  const auto* accepted = AcceptedKeys(request.op);
   std::string token;
   while (stream >> token) {
     const size_t eq = token.find('=');
@@ -44,6 +82,12 @@ Result<ParsedRequest> ParseRequest(const std::string& line) {
     }
     std::string key = token.substr(0, eq);
     std::string value = token.substr(eq + 1);
+    if (accepted != nullptr &&
+        std::find(accepted->begin(), accepted->end(), key) ==
+            accepted->end()) {
+      return Status::InvalidArgument(request.op + ": unknown argument " +
+                                     key);
+    }
     if (key == "row") {
       request.rows.push_back(std::move(value));
     } else if (!request.args.emplace(key, std::move(value)).second) {
@@ -233,6 +277,8 @@ std::string CountersToJson(const EngineCounters& counters,
   add("queries_sketch", counters.queries_sketch);
   add("queries_exact", counters.queries_exact);
   add("ingest_rows", counters.ingest_rows);
+  add("prefix_cells_counted", counters.prefix_cells_counted);
+  add("prefix_cells_reused", counters.prefix_cells_reused);
   add("resident_datasets", registry.resident_datasets);
   add("resident_bytes", registry.resident_bytes);
   add("mapped_bytes", registry.mapped_bytes);

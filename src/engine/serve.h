@@ -40,6 +40,10 @@
 // and `stats` report the split as "resident_bytes" / "mapped_bytes"
 // (docs/STORAGE.md).
 //
+// Each op takes exactly the keys listed above: any other key is an
+// InvalidArgument naming the first one on the line, so a misspelt setting
+// never runs at its default. Only `row=` may repeat.
+//
 // <kind> is one of entropy-topk, entropy-filter, mi-topk, mi-filter,
 // nmi-topk, nmi-filter. Successful responses carry "ok":true; failures
 // carry "ok":false plus the Status code and message -- still as JSON on

@@ -101,10 +101,10 @@ class StageProfiler {
   void SetWallMs(double wall_ms) { wall_ms_ = wall_ms; }
   double WallMs() const { return wall_ms_; }
 
-  /// Heap allocations the query performed (interposer delta; see
-  /// src/common/alloc_hook.h). Recorded once by the engine after the
-  /// query finishes; 0 in production binaries. The serve profile block
-  /// reports it as `allocs`.
+  /// Heap allocations the query performed from admission through
+  /// dispatch (interposer delta; see src/common/alloc_hook.h). Recorded
+  /// once by the engine after the query finishes; 0 in production
+  /// binaries. The serve profile block reports it as `allocs`.
   void SetAllocs(uint64_t allocs) { allocs_ = allocs; }
   uint64_t Allocs() const { return allocs_; }
 

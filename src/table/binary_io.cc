@@ -352,7 +352,7 @@ Result<Table> ParseBinaryTable(
       if (!sketch.ok()) return sketch.status();
       if (sketch.value() != nullptr) {
         columns.push_back(
-            column.value().WithSketch(std::move(sketch).value()));
+            std::move(column).value().WithSketch(std::move(sketch).value()));
         continue;
       }
     }

@@ -141,13 +141,17 @@ class Column {
   const std::shared_ptr<const CountMinSketch>& sketch() const {
     return sketch_;
   }
-  /// A copy of this column carrying `sketch` as its sidecar (null
-  /// detaches). The packed payload is shared work-wise only through the
-  /// copy; columns stay immutable.
-  Column WithSketch(std::shared_ptr<const CountMinSketch> sketch) const {
+  /// This column carrying `sketch` as its sidecar (null detaches). The
+  /// const& form copies the column, payload included; the && form moves
+  /// it, so attaching a sketch to a column being consumed copies nothing.
+  Column WithSketch(std::shared_ptr<const CountMinSketch> sketch) const& {
     Column copy = *this;
     copy.sketch_ = std::move(sketch);
     return copy;
+  }
+  Column WithSketch(std::shared_ptr<const CountMinSketch> sketch) && {
+    sketch_ = std::move(sketch);
+    return std::move(*this);
   }
   /// Resident bytes of the sidecar sketch (0 when none). Reported
   /// separately from MemoryBytes: the registry's dataset budget covers

@@ -41,20 +41,17 @@ Result<CountMinSketch> BuildColumnSketch(const Column& column,
   return sketch;
 }
 
-Result<Table> AttachSketches(const Table& table, double epsilon,
-                             double delta, uint32_t min_support,
-                             uint64_t seed) {
-  std::vector<Column> columns;
-  columns.reserve(table.num_columns());
-  for (const Column& col : table.columns()) {
-    if (col.support() <= min_support) {
-      columns.push_back(col.WithSketch(nullptr));
-      continue;
+Result<Table> AttachSketches(Table table, double epsilon, double delta,
+                             uint32_t min_support, uint64_t seed) {
+  std::vector<Column> columns = std::move(table).ReleaseColumns();
+  for (Column& col : columns) {
+    std::shared_ptr<const CountMinSketch> sidecar;
+    if (col.support() > min_support) {
+      SWOPE_ASSIGN_OR_RETURN(CountMinSketch sketch,
+                             BuildColumnSketch(col, epsilon, delta, seed));
+      sidecar = std::make_shared<const CountMinSketch>(std::move(sketch));
     }
-    SWOPE_ASSIGN_OR_RETURN(CountMinSketch sketch,
-                           BuildColumnSketch(col, epsilon, delta, seed));
-    columns.push_back(col.WithSketch(
-        std::make_shared<const CountMinSketch>(std::move(sketch))));
+    col = std::move(col).WithSketch(std::move(sidecar));
   }
   return Table::Make(std::move(columns));
 }

@@ -28,13 +28,13 @@ Result<CountMinSketch> BuildColumnSketch(const Column& column,
                                          double epsilon, double delta,
                                          uint64_t seed);
 
-/// Returns a table where every column with support > `min_support`
-/// carries a freshly built sidecar (columns at or below the threshold
-/// are passed through untouched -- the exact path never consults a
-/// sketch). Existing sidecars are rebuilt.
-Result<Table> AttachSketches(const Table& table, double epsilon,
-                             double delta, uint32_t min_support,
-                             uint64_t seed);
+/// Returns `table` with a freshly built sidecar on every column with
+/// support > `min_support`, and none on the others (the exact path never
+/// consults a sketch); existing sidecars are rebuilt. The columns are
+/// moved, not copied: pass `std::move(table)` to attach without copying
+/// the payload.
+Result<Table> AttachSketches(Table table, double epsilon, double delta,
+                             uint32_t min_support, uint64_t seed);
 
 }  // namespace swope
 

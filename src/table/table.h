@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/result.h"
@@ -68,6 +69,9 @@ class Table {
   /// const& form copies the kept columns; the && form moves them.
   Table DropHighSupportColumns(uint32_t max_support) const&;
   Table DropHighSupportColumns(uint32_t max_support) &&;
+
+  /// Moves the columns out of a table being consumed.
+  std::vector<Column> ReleaseColumns() && { return std::move(columns_); }
 
   /// Returns a table with rows permuted: new row r holds old row perm[r].
   /// perm must be a permutation of [0, num_rows).

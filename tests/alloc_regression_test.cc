@@ -31,10 +31,12 @@
 #include "src/core/query_memory.h"
 #include "src/core/query_options.h"
 #include "src/core/query_result.h"
+#include "src/core/shared_prefix.h"
 #include "src/core/swope_filter_entropy.h"
 #include "src/core/swope_topk_entropy.h"
 #include "src/core/swope_topk_mi.h"
 #include "src/engine/query_engine.h"
+#include "src/engine/query_spec.h"
 #include "src/table/binary_io.h"
 #include "src/table/shuffle.h"
 #include "src/table/table.h"
@@ -169,14 +171,14 @@ TEST(AllocRegressionTest, InterposerCounts) {
 TEST(AllocRegressionTest, EntropyTopKSteadyStateIsZeroAlloc) {
   const uint64_t rows = 4000;
   Table table = test::MakeEntropyTable({1.0, 2.5, 0.5, 1.8, 3.0}, rows, 11);
-  auto order = std::make_shared<const std::vector<uint32_t>>(
+  auto prefix = std::make_shared<SharedPrefix>(
       ShuffledRowOrder(static_cast<uint32_t>(rows), /*seed=*/7));
   auto pool = std::make_shared<QueryMemoryPool>();
 
   const uint64_t allocs = SteadyStateAllocs(
       pool,
       [&](QueryOptions& options) {
-        options.shared_order = order;  // else the sampler shuffles per query
+        options.shared_prefix = prefix;  // else the sampler shuffles per query
         return SwopeTopKEntropy(table, /*k=*/2, options);
       },
       /*rounds=*/4);
@@ -187,7 +189,7 @@ TEST(AllocRegressionTest, EntropyTopKSteadyStateIsZeroAlloc) {
 TEST(AllocRegressionTest, EntropyFilterSteadyStateIsZeroAlloc) {
   const uint64_t rows = 4000;
   Table table = test::MakeEntropyTable({1.0, 2.5, 0.5, 1.8}, rows, 13);
-  auto order = std::make_shared<const std::vector<uint32_t>>(
+  auto prefix = std::make_shared<SharedPrefix>(
       ShuffledRowOrder(static_cast<uint32_t>(rows), /*seed=*/7));
   auto pool = std::make_shared<QueryMemoryPool>();
 
@@ -195,7 +197,7 @@ TEST(AllocRegressionTest, EntropyFilterSteadyStateIsZeroAlloc) {
       pool,
       [&](QueryOptions& options) {
         options.epsilon = 0.05;
-        options.shared_order = order;
+        options.shared_prefix = prefix;
         return SwopeFilterEntropy(table, /*eta=*/1.5, options);
       },
       /*rounds=*/4);
@@ -206,7 +208,7 @@ TEST(AllocRegressionTest, EntropyFilterSteadyStateIsZeroAlloc) {
 TEST(AllocRegressionTest, MiTopKSteadyStateIsZeroAlloc) {
   const uint64_t rows = 4000;
   Table table = test::MakeMiTable({0.9, 0.1, 0.5}, rows, 17);
-  auto order = std::make_shared<const std::vector<uint32_t>>(
+  auto prefix = std::make_shared<SharedPrefix>(
       ShuffledRowOrder(static_cast<uint32_t>(rows), /*seed=*/7));
   auto pool = std::make_shared<QueryMemoryPool>();
 
@@ -214,7 +216,7 @@ TEST(AllocRegressionTest, MiTopKSteadyStateIsZeroAlloc) {
       pool,
       [&](QueryOptions& options) {
         options.epsilon = 0.5;
-        options.shared_order = order;
+        options.shared_prefix = prefix;
         return SwopeTopKMi(table, /*target=*/0, /*k=*/1, options);
       },
       /*rounds=*/4);
@@ -225,7 +227,7 @@ TEST(AllocRegressionTest, MiTopKSteadyStateIsZeroAlloc) {
 TEST(AllocRegressionTest, ColdQueryAllocatesThenPoolAbsorbsIt) {
   const uint64_t rows = 2000;
   Table table = test::MakeEntropyTable({1.0, 2.0}, rows, 19);
-  auto order = std::make_shared<const std::vector<uint32_t>>(
+  auto prefix = std::make_shared<SharedPrefix>(
       ShuffledRowOrder(static_cast<uint32_t>(rows), /*seed=*/7));
   auto pool = std::make_shared<QueryMemoryPool>();
 
@@ -236,7 +238,7 @@ TEST(AllocRegressionTest, ColdQueryAllocatesThenPoolAbsorbsIt) {
     QueryMemoryLease lease = QueryMemoryPool::Acquire(pool);
     QueryOptions options;
     options.seed = 7;
-    options.shared_order = order;
+    options.shared_prefix = prefix;
     options.memory = lease->arena().resource();
     options.scratch = &lease->scratch();
     const uint64_t before = AllocationCount();
@@ -246,6 +248,51 @@ TEST(AllocRegressionTest, ColdQueryAllocatesThenPoolAbsorbsIt) {
   }
   EXPECT_GT(first, 0u);
   EXPECT_GT(pool->IdleArenaBytes(), 0u);
+}
+
+// Warm entropy queries through the engine. Once the shared prefix state
+// covers a query's rounds, executing it reads H_S from the state, and
+// nothing from admission through dispatch touches the heap: the profile's
+// allocs count is zero even though every query differs from the last.
+TEST(AllocRegressionTest, EngineWarmEntropyQueriesAreZeroAlloc) {
+  EngineConfig config;
+  config.num_threads = 1;
+  config.result_cache_capacity = 0;  // every query executes
+  QueryEngine engine(config);
+  ASSERT_TRUE(engine
+                  .RegisterDataset("ds", test::MakeEntropyTable(
+                                             {1.0, 2.5, 0.5, 1.8, 3.0},
+                                             /*rows=*/4000, /*seed=*/11))
+                  .ok());
+  auto allocs = [&engine](QueryKind kind, size_t k, double epsilon) {
+    QuerySpec spec;
+    spec.dataset = "ds";
+    spec.kind = kind;
+    spec.k = k;
+    spec.eta = 1.5;
+    spec.options.epsilon = epsilon;
+    spec.profile = true;
+    auto response = engine.Run(spec);
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    return response.ok() ? response->profile->Allocs() : ~uint64_t{0};
+  };
+  // Warm-up: the tightest queries count every round the later ones read,
+  // and size the pooled arena.
+  for (int rep = 0; rep < 2; ++rep) {
+    for (size_t k : {1, 3}) allocs(QueryKind::kEntropyTopK, k, 0.01);
+    allocs(QueryKind::kEntropyFilter, 0, 0.01);
+  }
+  const uint64_t counted = engine.GetCounters().prefix_cells_counted;
+  for (double epsilon : {0.05, 0.1, 0.2}) {
+    for (size_t k : {1, 3}) {
+      EXPECT_EQ(allocs(QueryKind::kEntropyTopK, k, epsilon), 0u)
+          << "entropy top-k k=" << k << " epsilon=" << epsilon;
+    }
+    EXPECT_EQ(allocs(QueryKind::kEntropyFilter, 0, epsilon), 0u)
+        << "entropy filter epsilon=" << epsilon;
+  }
+  // They read every round from the state.
+  EXPECT_EQ(engine.GetCounters().prefix_cells_counted, counted);
 }
 
 // Eight label-less columns of support 200 (width 8) and one of support
@@ -286,6 +333,48 @@ TEST(AllocRegressionTest, HeapRegistrationAllocatesThePayloadOnce) {
   EXPECT_LT(allocated, payload + payload / 4)
       << "allocated " << allocated << " bytes for a " << payload
       << "-byte payload";
+}
+
+// Sketched registrations allocate the payload once as well. Attaching
+// sidecars on load moves the columns (copying every column allocated
+// about 2.2x), and a v3 image's stored sidecars ride on the columns being
+// loaded instead of on copies of them.
+TEST(AllocRegressionTest, SketchedHeapRegistrationAllocatesThePayloadOnce) {
+  const Table table = WideTable(100000);
+  const uint64_t payload = table.MemoryBytes();
+  const std::string path = ::testing::TempDir() + "/alloc_sketched.swpb";
+  ASSERT_TRUE(WriteBinaryTableFile(table, path).ok());
+  QueryEngine engine;
+
+  // Sketches attached on load: only the support-1001 column gets one.
+  uint64_t before = g_allocated_bytes.load();
+  ASSERT_TRUE(engine
+                  .RegisterDatasetFile("ds", path, /*max_support=*/0,
+                                       /*sketch_epsilon=*/0.05,
+                                       /*sketch_threshold=*/1000)
+                  .ok());
+  uint64_t allocated = g_allocated_bytes.load() - before;
+  const Table& loaded = engine.registry().Get("ds").value()->table;
+  ASSERT_TRUE(loaded.column(8).has_sketch());
+  EXPECT_FALSE(loaded.column(0).has_sketch());
+  EXPECT_GE(allocated, payload);
+  EXPECT_LT(allocated, payload + payload / 4)
+      << "attaching sketches allocated " << allocated << " bytes for a "
+      << payload << "-byte payload";
+
+  // The same table stored with its sidecar (a v3 image) and loaded back.
+  ASSERT_TRUE(WriteBinaryTableFile(loaded, path).ok());
+  before = g_allocated_bytes.load();
+  ASSERT_TRUE(engine.RegisterDatasetFile("v3", path).ok());
+  allocated = g_allocated_bytes.load() - before;
+  std::remove(path.c_str());
+
+  EXPECT_TRUE(
+      engine.registry().Get("v3").value()->table.column(8).has_sketch());
+  EXPECT_GE(allocated, payload);
+  EXPECT_LT(allocated, payload + payload / 4)
+      << "loading a sketched v3 image allocated " << allocated
+      << " bytes for a " << payload << "-byte payload";
 }
 
 // An ingest allocates its successor's payload plus O(batch): the

@@ -153,6 +153,16 @@ resident="$(grep -o '"resident_bytes":[0-9]*' "$TMP/serve.out" \
 [ "$resident" -gt 0 ] || fail "resident_bytes is zero"
 [ "$resident" -le 800000 ] \
   || fail "resident_bytes $resident exceeds 40% of unpacked footprint"
+# serve: a misspelt key is an in-band error that names it, not a query
+# run at the default epsilon
+printf '%s\n' \
+  "load name=d path=$TMP/d.swpb" \
+  "query dataset=d kind=entropy-topk k=3 epsilom=0.01" \
+  | "$CLI" serve > "$TMP/misspelt.out" || fail "serve exited non-zero"
+tail -1 "$TMP/misspelt.out" | grep -q '^{"ok":false' \
+  || fail "serve accepted a misspelt key"
+grep -q 'unknown argument epsilom' "$TMP/misspelt.out" \
+  || fail "misspelt key not named"
 # query responses carry the full QueryStats block
 for field in '"stats":{' '"final_sample_size":' '"iterations":' \
              '"cells_scanned":' '"candidates_remaining":'; do

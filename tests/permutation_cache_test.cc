@@ -15,7 +15,7 @@ TEST(PermutationCacheTest, SharesOneOrderPerKey) {
   auto first = cache.GetOrCreate(7, 100, 42, false);
   auto second = cache.GetOrCreate(7, 100, 42, false);
   ASSERT_NE(first, nullptr);
-  // Identical keys share the exact same vector, not a copy.
+  // Identical keys share the exact same prefix, not a copy.
   EXPECT_EQ(first.get(), second.get());
 
   const PermutationCache::Stats stats = cache.GetStats();
@@ -29,7 +29,7 @@ TEST(PermutationCacheTest, MatchesShuffledRowOrder) {
   auto order = cache.GetOrCreate(7, 256, 42, false);
   ASSERT_NE(order, nullptr);
   // Sharing must not change what any single query would have seen.
-  EXPECT_EQ(*order, ShuffledRowOrder(256, 42));
+  EXPECT_EQ(order->order(), ShuffledRowOrder(256, 42));
 }
 
 TEST(PermutationCacheTest, DistinctKeysGetDistinctOrders) {
@@ -49,14 +49,14 @@ TEST(PermutationCacheTest, SequentialOrderIsIdentityAndIgnoresSeed) {
   EXPECT_EQ(a.get(), b.get());
   std::vector<uint32_t> identity(50);
   std::iota(identity.begin(), identity.end(), 0u);
-  EXPECT_EQ(*a, identity);
+  EXPECT_EQ(a->order(), identity);
 }
 
 TEST(PermutationCacheTest, OrderIsAPermutation) {
   PermutationCache cache(4);
   auto order = cache.GetOrCreate(7, 512, 3, false);
   ASSERT_NE(order, nullptr);
-  std::vector<uint32_t> sorted = *order;
+  std::vector<uint32_t> sorted = order->order();
   std::sort(sorted.begin(), sorted.end());
   for (uint32_t r = 0; r < 512; ++r) EXPECT_EQ(sorted[r], r);
 }
@@ -68,8 +68,8 @@ TEST(PermutationCacheTest, EvictsOverCapacityButHandlesSurvive) {
   EXPECT_EQ(cache.GetStats().evictions, 1u);
   EXPECT_EQ(cache.GetStats().entries, 1u);
   // The evicted order stays valid for the query still holding it.
-  EXPECT_EQ(first->size(), 64u);
-  EXPECT_EQ(second->size(), 64u);
+  EXPECT_EQ(first->order().size(), 64u);
+  EXPECT_EQ(second->order().size(), 64u);
 }
 
 TEST(PermutationCacheTest, EraseDropsOnlyThatFingerprint) {
@@ -83,12 +83,12 @@ TEST(PermutationCacheTest, EraseDropsOnlyThatFingerprint) {
   EXPECT_EQ(cache.GetStats().entries, 2u);
   EXPECT_EQ(cache.GetStats().evictions, 0u);
   // A holder keeps its order; the neighbours' entries are untouched.
-  EXPECT_EQ(*held, ShuffledRowOrder(100, 1));
+  EXPECT_EQ(held->order(), ShuffledRowOrder(100, 1));
   EXPECT_EQ(cache.GetOrCreate(8, 100, 1, false).get(), other.get());
   cache.Erase(9);  // nothing cached under it
   EXPECT_EQ(cache.GetStats().entries, 2u);
   // An erased key builds afresh, with the same order.
-  EXPECT_EQ(*cache.GetOrCreate(7, 100, 1, false), *held);
+  EXPECT_EQ(cache.GetOrCreate(7, 100, 1, false)->order(), held->order());
   EXPECT_EQ(cache.GetStats().entries, 3u);
 }
 
@@ -100,7 +100,7 @@ TEST(PermutationCacheTest, ZeroCapacityBuildsFreshOrders) {
   ASSERT_NE(b, nullptr);
   // No sharing, but determinism still holds.
   EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(*a, *b);
+  EXPECT_EQ(a->order(), b->order());
 }
 
 }  // namespace

@@ -299,6 +299,86 @@ TEST(QueryEngineTest, CountersExposePoolUtilizationAndEvents) {
   EXPECT_GT(counters.executor_run_ms, 0.0);
 }
 
+// Executed entropy queries split their cells between those they counted
+// into the shared prefix state and those they read from it. On a
+// sketch-free table the two sum to the queries' cells_scanned; a looser
+// query on the same schedule counts nothing for rounds a tighter one
+// covered; cache hits and MI queries add to neither. The split reaches
+// the stats reply and Prometheus, and stays out of the query JSON.
+TEST(QueryEngineTest, PrefixCellCountersSplitCellsScanned) {
+  QueryEngine engine;
+  ASSERT_TRUE(engine
+                  .RegisterDataset(
+                      "ent", MakeEntropyTable({5.0, 3.0, 1.0, 4.0}, 20000, 4))
+                  .ok());
+  ASSERT_TRUE(
+      engine.RegisterDataset("mi", MakeMiTable({0.9, 0.3}, 4000, 5)).ok());
+  auto counted = [&engine] {
+    return engine.GetCounters().prefix_cells_counted;
+  };
+  auto reused = [&engine] { return engine.GetCounters().prefix_cells_reused; };
+
+  QuerySpec tight = EntropyTopKSpec("ent", 2);
+  tight.options.epsilon = 0.02;
+  auto first = engine.Run(tight);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_GT(first->stats.cells_scanned, 0u);
+  EXPECT_EQ(counted(), first->stats.cells_scanned);
+  EXPECT_EQ(reused(), 0u);
+
+  // Same schedule (M0 does not depend on epsilon), fewer rounds: every
+  // cell is read from the state.
+  QuerySpec loose = tight;
+  loose.options.epsilon = 0.2;
+  auto second = engine.Run(loose);
+  ASSERT_TRUE(second.ok());
+  EXPECT_FALSE(second->cache_hit);
+  EXPECT_LE(second->stats.iterations, first->stats.iterations);
+  EXPECT_EQ(counted(), first->stats.cells_scanned);
+  EXPECT_EQ(reused(), second->stats.cells_scanned);
+
+  QuerySpec filter;
+  filter.dataset = "ent";
+  filter.kind = QueryKind::kEntropyFilter;
+  filter.eta = 2.0;
+  auto third = engine.Run(filter);
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(counted() + reused(), first->stats.cells_scanned +
+                                      second->stats.cells_scanned +
+                                      third->stats.cells_scanned);
+
+  const uint64_t counted_before = counted();
+  const uint64_t reused_before = reused();
+  auto hit = engine.Run(tight);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->cache_hit);
+  ASSERT_TRUE(engine.Run(MiFilterSpec("mi", 0.2)).ok());
+  EXPECT_EQ(counted(), counted_before);
+  EXPECT_EQ(reused(), reused_before);
+
+  const std::string query_json = QueryResponseToJson(*second);
+  EXPECT_EQ(query_json.find("prefix"), std::string::npos) << query_json;
+  bool quit = false;
+  const std::string stats = HandleRequestLine(engine, "stats", &quit);
+  EXPECT_NE(stats.find("\"prefix_cells_counted\":" +
+                       std::to_string(counted_before)),
+            std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("\"prefix_cells_reused\":" +
+                       std::to_string(reused_before)),
+            std::string::npos)
+      << stats;
+  const std::string text = engine.metrics().RenderPrometheusText();
+  EXPECT_NE(text.find("swope_prefix_cells_total{source=\"counted\"} " +
+                      std::to_string(counted_before) + "\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("swope_prefix_cells_total{source=\"reused\"} " +
+                      std::to_string(reused_before) + "\n"),
+            std::string::npos)
+      << text;
+}
+
 TEST(QueryEngineDeterminismTest, IdenticalAcrossThreadCounts) {
   const Table table = MakeMiTable({0.2, 0.8, 0.5, 0.3}, 2500, 13);
 

@@ -79,10 +79,10 @@ TEST(QueryOptionsTest, FailureProbabilityBoundaries) {
 }
 
 TEST(QueryOptionsTest, EngineHooksDefaultNull) {
-  // shared_order / control are engine-managed; default-constructed
+  // shared_prefix / control are engine-managed; default-constructed
   // options must not carry them (QuerySpec::Validate relies on this).
   QueryOptions options;
-  EXPECT_EQ(options.shared_order, nullptr);
+  EXPECT_EQ(options.shared_prefix, nullptr);
   EXPECT_EQ(options.control, nullptr);
 }
 

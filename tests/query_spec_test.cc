@@ -1,10 +1,12 @@
 #include "src/engine/query_spec.h"
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/exec_control.h"
+#include "src/core/shared_prefix.h"
 #include "tests/test_util.h"
 
 namespace swope {
@@ -99,8 +101,8 @@ TEST(QuerySpecValidateTest, RejectsMissingTarget) {
 
 TEST(QuerySpecValidateTest, RejectsEngineManagedFields) {
   QuerySpec spec = BaseSpec(QueryKind::kEntropyTopK);
-  spec.options.shared_order =
-      std::make_shared<const std::vector<uint32_t>>();
+  spec.options.shared_prefix =
+      std::make_shared<SharedPrefix>(std::vector<uint32_t>());
   EXPECT_TRUE(spec.Validate().IsInvalidArgument());
 
   spec = BaseSpec(QueryKind::kEntropyTopK);

@@ -1,7 +1,9 @@
 #include "src/engine/serve.h"
 
+#include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -432,6 +434,72 @@ TEST(ServeTest, RepeatedRowsAppendInOrderAndOtherRepeatsAreRejected) {
   auto dataset = engine.registry().Get("ds");
   ASSERT_TRUE(dataset.ok());
   EXPECT_EQ((*dataset)->table.num_rows(), 1503u);
+}
+
+// A key its op does not take is an in-band InvalidArgument naming the
+// first such key, never a silently ignored setting: `epsilom=0.01` ran a
+// query at the default epsilon = 0.1, and `exact=1` ran a sampled query.
+TEST(ServeTest, UnknownKeysAreRejectedPerOp) {
+  const Table table = MakeEntropyTable({5.0, 2.0}, 1500, 3);
+  const std::string path = ::testing::TempDir() + "/serve_unknown_keys.swpb";
+  ASSERT_TRUE(WriteBinaryTableFile(table, path).ok());
+  QueryEngine engine;
+  ASSERT_TRUE(engine.RegisterDataset("ds", table).ok());
+  const uint64_t rows = table.num_rows();
+
+  struct Case {
+    std::string line;
+    std::string key;
+  };
+  const std::vector<Case> cases = {
+      {"query dataset=ds kind=entropy-topk k=1 epsilom=0.01", "epsilom"},
+      {"query dataset=ds kind=entropy-topk k=1 exact=1", "exact"},
+      {"query dataset=ds kind=entropy-topk k=1 bogus=1 other=2", "bogus"},
+      {"load name=other path=" + path + " mmpa=1", "mmpa"},
+      {"ingest dataset=ds row=3,1 rows=4,0", "rows"},
+      {"unload name=ds force=1", "force"},
+      {"events n=2 since=1", "since"},
+      {"datasets all=1", "all"},
+      {"stats verbose=1", "verbose"},
+      {"metrics format=json", "format"},
+      {"quit now=1", "now"},
+  };
+  for (const Case& c : cases) {
+    bool quit = false;
+    const std::string response = HandleRequestLine(engine, c.line, &quit);
+    EXPECT_FALSE(quit) << c.line;
+    EXPECT_EQ(response.rfind("{\"ok\":false", 0), 0u) << c.line;
+    EXPECT_NE(response.find("\"code\":\"Invalid argument\""),
+              std::string::npos)
+        << c.line << " -> " << response;
+    EXPECT_NE(response.find("unknown argument " + c.key + "\""),
+              std::string::npos)
+        << c.line << " -> " << response;
+  }
+  std::remove(path.c_str());
+
+  // None of the rejected requests acted: nothing loaded, ingested or
+  // unloaded, and no query ran, so a well-spelt query is not a cache hit
+  // of the misspelt one.
+  EXPECT_EQ(Handle(engine, "datasets"),
+            "{\"ok\":true,\"op\":\"datasets\",\"names\":[\"ds\"]}");
+  EXPECT_EQ(engine.registry().Get("ds").value()->table.num_rows(), rows);
+  EXPECT_EQ(engine.GetCounters().queries_started, 0u);
+  const std::string query =
+      Handle(engine, "query dataset=ds kind=entropy-topk k=1");
+  EXPECT_NE(query.find("\"cache_hit\":false"), std::string::npos) << query;
+
+  // Every accepted key of every op still parses.
+  for (const char* line :
+       {"query dataset=ds kind=entropy-topk k=1 eta=1 target=0 epsilon=0.2 "
+        "seed=3 pf=0.01 m0=64 growth=2 sketch-threshold=1000 "
+        "sketch-epsilon=0 sequential=0 timeout-ms=0 trace=0 profile=0",
+        "ingest dataset=ds row=3,1", "events n=1", "stats", "datasets",
+        "metrics"}) {
+    EXPECT_EQ(Handle(engine, line).rfind("{\"ok\":true", 0), 0u) << line;
+  }
+  EXPECT_EQ(Handle(engine, "unload name=ds"),
+            "{\"ok\":true,\"op\":\"unload\",\"name\":\"ds\"}");
 }
 
 TEST(ServeTest, QuitStopsTheLoop) {

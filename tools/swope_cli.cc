@@ -394,8 +394,8 @@ int CmdSketch(const Flags& flags) {
   const double epsilon = flags.GetDouble("sketch-epsilon", 0.01);
   const uint32_t threshold =
       static_cast<uint32_t>(flags.GetUint("sketch-threshold", 1000));
-  auto sketched = AttachSketches(*table, epsilon, /*delta=*/0.01, threshold,
-                                 flags.GetUint("seed", 0));
+  auto sketched = AttachSketches(*std::move(table), epsilon, /*delta=*/0.01,
+                                 threshold, flags.GetUint("seed", 0));
   if (!sketched.ok()) return Fail(sketched.status());
   const Status status = WriteBinaryTableFile(*sketched, out);
   if (!status.ok()) return Fail(status);
